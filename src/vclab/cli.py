@@ -6,10 +6,11 @@ load as JSON), ``mc`` (SAT-fraction / mean-count scans), ``fss``
 (finite-size-scaling collapse), ``psi`` (agreement-probability estimates).
 
 Outputs are flat CSV files with '#'-prefixed header comments carrying the
-tool version, the resolved configuration (JSON), and the master seed, so
-any run can be reproduced byte-for-byte from its own artifacts.  Optional
-plot scripts are plain gnuplot programs referencing the emitted CSVs.
-Natural logarithms everywhere.
+tool version, the resolved configuration (JSON, less the worker count and
+output paths, which do not change the data), and the master seed, so any
+run can be reproduced byte-for-byte from its own artifacts, with any worker
+count.  Optional plot scripts are plain gnuplot programs referencing the
+emitted CSVs.  Natural logarithms everywhere.
 
 Exit codes: 0 success, 1 validation error, 2 analytic no-transition or
 divergence, 3 enumeration budget exceeded.
@@ -102,8 +103,13 @@ def _resolve_spec(cfg: dict) -> StructureSpec:
     return StructureSpec.equicorrelated(int(k), float(rho))
 
 
+# Settings that do not change the data: the worker count and where files go.
+_NOT_IN_HEADER = ("threads", "out", "plot_script")
+
+
 def _header_lines(cfg: dict) -> list[str]:
-    blob = json.dumps(cfg, sort_keys=True, default=str)
+    kept = {key: value for key, value in cfg.items() if key not in _NOT_IN_HEADER}
+    blob = json.dumps(kept, sort_keys=True, default=str)
     return [
         f"# vclab {__version__}",
         f"# config = {blob}",
@@ -136,11 +142,11 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
     cfg = dict(defaults)
     path = getattr(args, "config", None)
     if path:
-        with open(path) as fh:
-            try:
+        try:
+            with open(path) as fh:
                 loaded = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"config file {path}: {exc}") from exc
+        except (OSError, ValueError) as exc:  # missing, unreadable or not JSON
+            raise ValidationError(f"config file {path}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ValidationError("config file must contain a JSON object")
         for key, value in loaded.items():
@@ -150,6 +156,9 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
             continue
         if value is not None:
             cfg[key] = value
+    threads = cfg["threads"]
+    if not isinstance(threads, int) or threads < 1:
+        raise ValidationError(f"threads must be an integer >= 1, got {threads!r}")
     return cfg
 
 

@@ -30,7 +30,7 @@ class BracketError(VclabError):
     """Root bracketing failed: the function has the same sign at both ends."""
 
 
-class NotPositiveSemidefiniteError(VclabError):
+class NotPositiveSemidefiniteError(ValidationError):
     """A Gram matrix has a pivot below the semidefinite tolerance."""
 
 

@@ -19,16 +19,20 @@ backends and one sampling probe:
   labelings they induce; a lower bound on the count and a SAT witness
   finder, with no UNSAT certificate.
 
-Trials are keyed by (master seed, trial index), so parallel runs reduce in
-deterministic trial order and are bit-reproducible for any worker count.
+Each trial samples one dataset from its (master seed, trial index) stream
+and probes it once; a counting probe also decides SAT, so mean counts and
+SAT fractions describe the same disorder.  A library call runs its trials
+through one process pool and reduces them in trial order, so results are
+bit-reproducible for any worker count.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 
@@ -48,6 +52,8 @@ METHOD_SIGMA = "sigma"
 METHOD_RANDOM = "random-classifier"
 
 DEFAULT_P_ENUM_MAX = 22
+
+_COUNT = "count"  # trial probe tag: full exact count instead of a SAT decision
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,6 +207,30 @@ def _sigma_scan(
     return 2 * feasible, feasible > 0
 
 
+def _probe(
+    dataset: Dataset, margin: float, p_enum_max: int, method: str, early_exit: bool
+) -> SatProbe:
+    if margin < 0:
+        raise ValidationError("margin must be >= 0")
+    chosen = _pick_method(dataset, margin, p_enum_max, method)
+    if chosen == METHOD_FULL_RANK:
+        count, sat = 2 ** dataset.p, True
+    elif chosen == METHOD_CELLS:
+        count, sat = _cells_scan(dataset, margin, early_exit)
+    elif chosen == METHOD_SIGMA:
+        count, sat = _sigma_scan(dataset, margin, p_enum_max, early_exit)
+    else:
+        raise ValidationError(f"unknown method {chosen!r}")
+    return SatProbe(
+        count=count,
+        sat=sat,
+        # exhaustion proves UNSAT; an early-exit witness leaves the count partial
+        enumerated=chosen == METHOD_FULL_RANK or not (early_exit and sat),
+        margin_used=margin,
+        method=chosen,
+    )
+
+
 def count_admissible_dichotomies(
     dataset: Dataset,
     margin: float = 0.0,
@@ -214,24 +244,7 @@ def count_admissible_dichotomies(
     at most 3 dimensions, otherwise sign-vector enumeration within
     ``p_enum_max`` (`BudgetError` beyond it).
     """
-    if margin < 0:
-        raise ValidationError("margin must be >= 0")
-    chosen = _pick_method(dataset, margin, p_enum_max, method)
-    if chosen == METHOD_FULL_RANK:
-        count: int = 2 ** dataset.p
-    elif chosen == METHOD_CELLS:
-        count, _ = _cells_scan(dataset, margin, early_exit=False)
-    elif chosen == METHOD_SIGMA:
-        count, _ = _sigma_scan(dataset, margin, p_enum_max, early_exit=False)
-    else:
-        raise ValidationError(f"unknown method {chosen!r}")
-    return SatProbe(
-        count=count,
-        sat=count > 0,
-        enumerated=True,
-        margin_used=margin,
-        method=chosen,
-    )
+    return _probe(dataset, margin, p_enum_max, method, early_exit=False)
 
 
 def admissible_exists(
@@ -245,30 +258,7 @@ def admissible_exists(
     UNSAT outcomes are exhaustive (``enumerated=True``); SAT outcomes stop
     at the witness, so the reported count is partial.
     """
-    if margin < 0:
-        raise ValidationError("margin must be >= 0")
-    chosen = _pick_method(dataset, margin, p_enum_max, method)
-    if chosen == METHOD_FULL_RANK:
-        return SatProbe(
-            count=2 ** dataset.p,
-            sat=True,
-            enumerated=True,
-            margin_used=margin,
-            method=chosen,
-        )
-    if chosen == METHOD_CELLS:
-        count, sat = _cells_scan(dataset, margin, early_exit=True)
-    elif chosen == METHOD_SIGMA:
-        count, sat = _sigma_scan(dataset, margin, p_enum_max, early_exit=True)
-    else:
-        raise ValidationError(f"unknown method {chosen!r}")
-    return SatProbe(
-        count=count,
-        sat=sat,
-        enumerated=not sat,  # exhaustion proves UNSAT; a witness exits early
-        margin_used=margin,
-        method=chosen,
-    )
+    return _probe(dataset, margin, p_enum_max, method, early_exit=True)
 
 
 def random_classifier_probe(
@@ -316,28 +306,38 @@ def random_classifier_probe(
     )
 
 
-def _count_worker(args) -> int:
-    spec, n, p, margin, p_enum_max, rng, t = args
-    ds = sample_dataset(spec, n, p, rng.substream(t))
-    return count_admissible_dichotomies(ds, margin=margin, p_enum_max=p_enum_max).count
-
-
-def _sat_worker(args) -> bool:
-    spec, n, p, margin, p_enum_max, probe, num_weights, rng, t = args
-    stream = rng.substream(t)
+def _trial_worker(job) -> SatProbe:
+    """One trial: sample a dataset from the trial's stream, probe it once."""
+    spec, n, p, margin, p_enum_max, probe, num_weights, stream = job
     ds = sample_dataset(spec, n, p, stream)
+    if probe == _COUNT:
+        return count_admissible_dichotomies(ds, margin=margin, p_enum_max=p_enum_max)
     if probe == METHOD_RANDOM:
-        return random_classifier_probe(
-            ds, num_weights, stream.substream(1), margin=margin
-        ).sat
-    return admissible_exists(ds, margin=margin, p_enum_max=p_enum_max).sat
+        return random_classifier_probe(ds, num_weights, stream.substream(1), margin=margin)
+    return admissible_exists(ds, margin=margin, p_enum_max=p_enum_max)
 
 
 def _map_ordered(worker, jobs, threads: int):
-    if threads <= 1:
-        return [worker(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, jobs, chunksize=8))
+    """Yield ``worker(job)`` in job order, from one process pool of at most
+    ``threads`` workers (none for one worker or one job)."""
+    if threads < 1:
+        raise ValidationError(f"threads must be >= 1, got {threads}")
+    workers = min(threads, len(jobs))
+    if workers <= 1:
+        yield from map(worker, jobs)
+        return
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        yield from pool.map(worker, jobs, chunksize=8)
+    finally:
+        # on a worker error, drop the queued trials instead of running them
+        pool.shutdown(cancel_futures=True)
+
+
+def _mean_stderr(counts: list[int]) -> tuple[float, float]:
+    values = np.array(counts, dtype=float)
+    stderr = values.std(ddof=1) / math.sqrt(len(values)) if len(values) > 1 else 0.0
+    return float(values.mean()), float(stderr)
 
 
 def estimate_mean_count(
@@ -357,11 +357,8 @@ def estimate_mean_count(
     """
     if trials < 2:
         raise ValidationError("need at least 2 trials for a standard error")
-    jobs = [(spec, n, p, margin, p_enum_max, rng, t) for t in range(trials)]
-    counts = np.array(_map_ordered(_count_worker, jobs, threads), dtype=float)
-    mean = float(counts.mean())
-    stderr = float(counts.std(ddof=1) / math.sqrt(trials))
-    return mean, stderr
+    jobs = [(spec, n, p, margin, p_enum_max, _COUNT, 0, rng.substream(t)) for t in range(trials)]
+    return _mean_stderr([q.count for q in _map_ordered(_trial_worker, jobs, threads)])
 
 
 def sat_fraction_scan(
@@ -383,8 +380,10 @@ def sat_fraction_scan(
     One point per load value, p = round(alpha * n); margin scans use k=1
     specs with the margin as the constraint.  ``probe`` selects the exact
     decision (``"enumerate"``) or the random-classifier witness search
-    (``"random-classifier"``).  Trials are keyed by (grid index, trial
-    index) substreams of ``rng``.
+    (``"random-classifier"``).  Trial t of point i probes one dataset from
+    ``rng.substream(i, t)``; ``with_counts`` counts it exactly, which also
+    decides SAT.  All trials share one process pool; ``progress(point,
+    done, total)`` is called as each point completes.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
@@ -392,50 +391,38 @@ def sat_fraction_scan(
         raise ValidationError(f"unknown probe {probe!r}")
     if not alpha_grid:
         raise ValidationError("alpha grid must be nonempty")
-    points: list[PhasePoint] = []
-    probe_tag = METHOD_RANDOM if probe == METHOD_RANDOM else "enumerate"
-    for i, alpha in enumerate(alpha_grid):
-        p = int(round(alpha * n))
+    loads = [int(round(alpha * n)) for alpha in alpha_grid]
+    for alpha, p in zip(alpha_grid, loads):
         if p < 1:
             raise ValidationError(f"alpha={alpha} gives p={p} < 1 at n={n}")
-        base = rng.substream(i)
-        jobs = [
-            (spec, n, p, margin, p_enum_max, probe_tag, num_weights, base, t)
-            for t in range(trials)
-        ]
-        hits = _map_ordered(_sat_worker, jobs, threads)
-        frac = float(np.mean(hits))
-        stderr = math.sqrt(frac * (1.0 - frac) / trials)
-        mean_count = count_stderr = None
-        if with_counts:
-            cjobs = [
-                (spec, n, p, margin, p_enum_max, base.substream(t, 2))
-                for t in range(trials)
-            ]
-            counts = np.array(
-                _map_ordered(_count_worker_packed, cjobs, threads), dtype=float
+    kind = _COUNT if with_counts else probe
+    jobs = [
+        (spec, n, p, margin, p_enum_max, kind, num_weights, rng.substream(i, t))
+        for i, p in enumerate(loads)
+        for t in range(trials)
+    ]
+    points: list[PhasePoint] = []
+    with closing(_map_ordered(_trial_worker, jobs, threads)) as results:
+        for alpha, p in zip(alpha_grid, loads):
+            probes = list(islice(results, trials))
+            frac = float(np.mean([q.sat for q in probes]))
+            stderr = math.sqrt(frac * (1.0 - frac) / trials)
+            mean_count = count_stderr = None
+            if with_counts:
+                mean_count, count_stderr = _mean_stderr([q.count for q in probes])
+            point = PhasePoint(
+                alpha=alpha,
+                p=p,
+                trials=trials,
+                fraction=frac,
+                stderr=stderr,
+                mean_count=mean_count,
+                count_stderr=count_stderr,
             )
-            mean_count = float(counts.mean())
-            count_stderr = float(counts.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-        point = PhasePoint(
-            alpha=alpha,
-            p=p,
-            trials=trials,
-            fraction=frac,
-            stderr=stderr,
-            mean_count=mean_count,
-            count_stderr=count_stderr,
-        )
-        points.append(point)
-        if progress is not None:
-            progress(point, len(points), len(alpha_grid))
+            points.append(point)
+            if progress is not None:
+                progress(point, len(points), len(alpha_grid))
     return points
-
-
-def _count_worker_packed(args) -> int:
-    spec, n, p, margin, p_enum_max, stream = args
-    ds = sample_dataset(spec, n, p, stream)
-    return count_admissible_dichotomies(ds, margin=margin, p_enum_max=p_enum_max).count
 
 
 def crossover_load(

@@ -120,14 +120,23 @@ class TestMc:
     def test_byte_identical_rerun(self, capsys, tmp_path):
         args = [
             "mc", "--mode", "pairs", "--rho", "0.3", "--n", "3",
-            "--alpha", "1,2", "--trials", "20", "--threads", "1",
+            "--alpha", "1,2", "--trials", "20",
         ]
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        assert run(capsys, *args, "--out", str(a))[0] == 0
-        assert run(capsys, *args, "--out", str(b))[0] == 0
-        # identical except for the self-referential output path in the config
-        assert data_lines(a) == data_lines(b)
+        assert run(capsys, *args, "--threads", "1", "--out", str(a))[0] == 0
+        assert run(capsys, *args, "--threads", "2", "--out", str(b))[0] == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_zero_threads_validation(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys, "mc", "--mode", "pairs", "--rho", "0.5", "--n", "3",
+            "--alpha", "1,2", "--trials", "2", "--threads", "0",
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 1
+        assert json.loads(out)["error"] == "ValidationError"
+        assert not (tmp_path / "x.csv").exists()
 
     def test_zero_trials_validation(self, capsys, tmp_path):
         code, out, _ = run(
@@ -259,3 +268,11 @@ class TestConfigFile:
         cfg.write_text("{not json")
         code, _, _ = run(capsys, "transition", "--config", str(cfg), "--rho", "0")
         assert code == 1
+
+    def test_missing_config_file(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys, "count", "--config", str(tmp_path / "absent.json"),
+            "--k", "1", "--n", "3", "--alpha", "1", "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 1
+        assert json.loads(out)["error"] == "ValidationError"

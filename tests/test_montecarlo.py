@@ -292,6 +292,10 @@ class TestMeanCount:
         with pytest.raises(ValidationError):
             estimate_mean_count(UNSTRUCTURED, 3, 2, 1, Rng(0))
 
+    def test_requires_a_worker(self):
+        with pytest.raises(ValidationError):
+            estimate_mean_count(UNSTRUCTURED, 3, 2, 4, Rng(0), threads=0)
+
     def test_threads_do_not_change_results(self):
         a = estimate_mean_count(PAIRS_HALF, 3, 4, 24, Rng(47), threads=1)
         b = estimate_mean_count(PAIRS_HALF, 3, 4, 24, Rng(47), threads=2)
@@ -336,6 +340,18 @@ class TestSatFractionScan:
         paired = sat_fraction_scan(PAIRS_HALF, 3, [1.0], 10, Rng(54), with_counts=True)
         assert 0.0 < paired[0].mean_count < 8.0  # kp = 6 points in R^3
 
+    def test_counts_share_the_sat_disorder(self):
+        # every SAT trial counts at least 2 labelings (sigma and -sigma) and
+        # every UNSAT trial 0, so on shared disorder the mean count bounds
+        # twice the SAT fraction and vanishes exactly with it
+        grid = [2, 3, 4, 5, 6]
+        pts = sat_fraction_scan(PAIRS_HALF, 3, grid, 8, Rng(57), with_counts=True)
+        plain = sat_fraction_scan(PAIRS_HALF, 3, grid, 8, Rng(57))
+        assert [q.fraction for q in pts] == [q.fraction for q in plain]
+        for q in pts:
+            assert q.mean_count >= 2 * q.fraction
+            assert (q.mean_count == 0) == (q.fraction == 0)
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             sat_fraction_scan(PAIRS_HALF, 3, [], 10, Rng(0))
@@ -343,11 +359,69 @@ class TestSatFractionScan:
             sat_fraction_scan(PAIRS_HALF, 3, [0.05], 10, Rng(0))
         with pytest.raises(ValidationError):
             sat_fraction_scan(PAIRS_HALF, 3, [1.0], 0, Rng(0))
+        with pytest.raises(ValidationError):
+            sat_fraction_scan(PAIRS_HALF, 3, [1.0], 10, Rng(0), threads=0)
 
     def test_threads_match_serial(self):
         a = sat_fraction_scan(PAIRS_HALF, 3, [2, 4], 16, Rng(55), threads=1)
         b = sat_fraction_scan(PAIRS_HALF, 3, [2, 4], 16, Rng(55), threads=2)
         assert [q.fraction for q in a] == [q.fraction for q in b]
+        a = sat_fraction_scan(PAIRS_HALF, 3, [2, 4], 6, Rng(55), threads=1, with_counts=True)
+        b = sat_fraction_scan(PAIRS_HALF, 3, [2, 4], 6, Rng(55), threads=2, with_counts=True)
+        assert [(q.fraction, q.mean_count, q.count_stderr) for q in a] == [
+            (q.fraction, q.mean_count, q.count_stderr) for q in b
+        ]
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Replace the process pool by a stand-in that runs jobs in this process
+    and records each pool's size and how it was shut down."""
+    made = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.shutdowns = []
+            made.append(self)
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            self.shutdowns.append(cancel_futures)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.shutdown()
+
+    monkeypatch.setattr("vclab.montecarlo.ProcessPoolExecutor", RecordingPool)
+    return made
+
+
+class TestPool:
+    def test_one_pool_per_scan_and_progress_per_point(self, pools):
+        for threads, created in ((2, 1), (1, 0)):
+            pools.clear()
+            calls = []
+            sat_fraction_scan(
+                PAIRS_HALF, 3, [1, 2, 3], 4, Rng(58), threads=threads,
+                progress=lambda point, done, total: calls.append((done, total)),
+            )
+            assert len(pools) == created
+            assert calls == [(1, 3), (2, 3), (3, 3)]
+
+    def test_pool_size_clamped_to_jobs(self, pools):
+        estimate_mean_count(PAIRS_HALF, 3, 4, 3, Rng(59), threads=64)
+        sat_fraction_scan(PAIRS_HALF, 3, [1.0], 1, Rng(59), threads=64)
+        assert [pool.max_workers for pool in pools] == [3]
+
+    def test_worker_error_cancels_queued_trials(self, pools):
+        with pytest.raises(BudgetError):
+            sat_fraction_scan(PAIRS_HALF, 5, [1, 5], 2, Rng(60), threads=2)
+        assert [pool.shutdowns for pool in pools] == [[True]]
 
 
 class TestCrossover:

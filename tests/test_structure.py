@@ -44,6 +44,9 @@ class TestStructureSpec:
     def test_rejects_indefinite(self):
         with pytest.raises(ValidationError):
             StructureSpec.equicorrelated(3, -0.9)
+        # inside the eigenvalue tolerance, below the Cholesky pivot tolerance
+        with pytest.raises(ValidationError):
+            StructureSpec.equicorrelated(3, -0.5 - 1e-10)
 
     def test_rejects_bad_diagonal(self):
         with pytest.raises(ValidationError):
