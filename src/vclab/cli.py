@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -62,6 +63,16 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+def _number(kind, value):
+    """``value`` as a finite int or float; strings are parsed, bools refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise TypeError(f"expected a number, got {type(value).__name__}")
+    x = kind(value)
+    if not math.isfinite(x) or (isinstance(value, float) and x != value):
+        raise ValueError(f"not a finite {kind.__name__}")
+    return x
+
+
 def _parse_grid(text: str) -> list[float]:
     """Grid syntax: 'a,b,c' | 'lo:hi:step' | 'lo..hi' (unit step)."""
     text = text.strip()
@@ -69,18 +80,17 @@ def _parse_grid(text: str) -> list[float]:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValidationError(f"expected lo:hi:step, got {text!r}")
-        lo, hi, step = (float(v) for v in parts)
+        lo, hi, step = (_number(float, v) for v in parts)
         if step <= 0 or hi < lo:
             raise ValidationError(f"bad grid range {text!r}")
         count = int(math.floor((hi - lo) / step + 1e-9)) + 1
         return [lo + i * step for i in range(count)]
     if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = float(lo_s), float(hi_s)
+        lo, hi = (_number(float, v) for v in text.split("..", 1))
         if hi < lo:
             raise ValidationError(f"bad grid range {text!r}")
         return [lo + i for i in range(int(math.floor(hi - lo + 1e-9)) + 1)]
-    return [float(v) for v in text.split(",") if v.strip()]
+    return [_number(float, v) for v in text.split(",") if v.strip()]
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -96,11 +106,11 @@ def _resolve_spec(cfg: dict) -> StructureSpec:
         k = 2
     if k is None:
         raise ValidationError("no structure spec: give --k/--rho or a config 'spec'")
-    if int(k) == 1:
+    if k == 1:
         return StructureSpec.unstructured()
     if rho is None:
         raise ValidationError("k > 1 needs --rho (or a full 'spec' object)")
-    return StructureSpec.equicorrelated(int(k), float(rho))
+    return StructureSpec.equicorrelated(k, rho)
 
 
 # Settings that do not change the data: the worker count and where files go.
@@ -137,6 +147,42 @@ def _echo_config(cfg: dict) -> None:
     print("# config: " + json.dumps(cfg, sort_keys=True, default=str), file=sys.stderr)
 
 
+def _numbers(kind, value):
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return [_number(kind, v) for v in value]
+
+
+def _pairs(value):
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected a list of pairs, got {type(value).__name__}")
+    pairs = [tuple(_numbers(int, pair)) for pair in value]
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValueError("expected pairs of dimensions")
+    return pairs
+
+
+def _string(value):
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+# The one place config values (defaults, config file, flags) get their types.
+_CONFIG_TYPES = {
+    **{key: partial(_number, int) for key in (
+        "seed", "threads", "p_enum_max", "trials", "n", "mc_n", "m", "k",
+        "samples", "points", "num_weights")},
+    **{key: partial(_number, float) for key in (
+        "rho", "kappa", "theta0", "theta1", "alpha_star", "window", "beta")},
+    "alpha_grid": partial(_numbers, float),
+    "rho_grid": partial(_numbers, float),
+    "n_list": partial(_numbers, int),
+    "n_pairs": _pairs,
+    **{key: _string for key in ("out", "plot_script", "layers", "mode", "probe", "method")},
+}
+
+
 def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
     """Precedence: command-line flags > config file > defaults."""
     cfg = dict(defaults)
@@ -156,9 +202,14 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
             continue
         if value is not None:
             cfg[key] = value
-    threads = cfg["threads"]
-    if not isinstance(threads, int) or threads < 1:
-        raise ValidationError(f"threads must be an integer >= 1, got {threads!r}")
+    for key, convert in _CONFIG_TYPES.items():
+        if cfg.get(key) is not None:
+            try:
+                cfg[key] = convert(cfg[key])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValidationError(f"config value {key}={cfg[key]!r}: {exc}") from exc
+    if cfg["threads"] < 1:
+        raise ValidationError(f"threads must be an integer >= 1, got {cfg['threads']!r}")
     return cfg
 
 
@@ -173,7 +224,7 @@ def cmd_count(cfg: dict) -> int:
     grid = cfg["alpha_grid"]
     if not n_list or not grid:
         raise ValidationError("count needs a dimension list and a load grid")
-    rng = Rng(int(cfg["seed"]))
+    rng = Rng(cfg["seed"])
     rows = []
     analytic = spec.k <= 2
     if analytic:
@@ -188,7 +239,7 @@ def cmd_count(cfg: dict) -> int:
                 rows.append(
                     ("recursion", str(n), _f(alpha * n), _f(alpha), _f(value), _f(0.0))
                 )
-    trials = int(cfg.get("trials") or 0)
+    trials = cfg.get("trials") or 0
     if trials:
         for i, n in enumerate(n_list):
             for j, alpha in enumerate(grid):
@@ -201,8 +252,8 @@ def cmd_count(cfg: dict) -> int:
                     p,
                     trials,
                     rng.substream(i, j),
-                    p_enum_max=int(cfg["p_enum_max"]),
-                    threads=int(cfg["threads"]),
+                    p_enum_max=cfg["p_enum_max"],
+                    threads=cfg["threads"],
                 )
                 logc = math.log(mean) if mean > 0 else NEG_INF
                 log_err = err / mean if mean > 0 else 0.0
@@ -246,16 +297,16 @@ def cmd_transition(cfg: dict) -> int:
     if method == METHOD_ANNEALED_MARGIN or cfg.get("kappa") is not None:
         if cfg.get("kappa") is None:
             raise ValidationError("margin method needs --kappa")
-        result = annealed_threshold_margin(float(cfg["kappa"]))
+        result = annealed_threshold_margin(cfg["kappa"])
     elif method == METHOD_ANNEALED_PAIRS:
         if cfg.get("rho") is None:
             raise ValidationError("annealed pair method needs --rho")
-        result = annealed_threshold_pairs(float(cfg["rho"]))
+        result = annealed_threshold_pairs(cfg["rho"])
     elif method == METHOD_COMBINATORIAL:
         if cfg.get("theta0") is not None:
-            result = transition_load(float(cfg["theta0"]), float(cfg.get("theta1") or 1.0))
+            result = transition_load(cfg["theta0"], cfg.get("theta1") or 1.0)
         elif cfg.get("rho") is not None:
-            result = transition_load(psi2(float(cfg["rho"])), 1.0)
+            result = transition_load(psi2(cfg["rho"]), 1.0)
         else:
             raise ValidationError("combinatorial method needs --rho or --theta0")
     else:
@@ -268,9 +319,9 @@ def cmd_phase_diagram(cfg: dict) -> int:
     rho_grid = cfg["rho_grid"]
     if not rho_grid or any(not 0 <= r < 1 for r in rho_grid):
         raise ValidationError("phase diagram needs a rho grid inside [0, 1)")
-    layers = [layer.strip() for layer in str(cfg["layers"]).split(",") if layer.strip()]
+    layers = [layer.strip() for layer in cfg["layers"].split(",") if layer.strip()]
     stem = cfg["out"]
-    rng = Rng(int(cfg["seed"]))
+    rng = Rng(cfg["seed"])
     written = []
     if "combinatorial" in layers:
         rows = []
@@ -305,9 +356,9 @@ def cmd_phase_diagram(cfg: dict) -> int:
         written.append(path)
     if "mc" in layers:
         rows = []
-        n = int(cfg["mc_n"])
+        n = cfg["mc_n"]
         grid = cfg["alpha_grid"]
-        trials = int(cfg["trials"])
+        trials = cfg["trials"]
         for i, rho in enumerate(rho_grid):
             spec = StructureSpec.pairs(rho)
             points = sat_fraction_scan(
@@ -316,8 +367,8 @@ def cmd_phase_diagram(cfg: dict) -> int:
                 grid,
                 trials,
                 rng.substream(i),
-                p_enum_max=int(cfg["p_enum_max"]),
-                threads=int(cfg["threads"]),
+                p_enum_max=cfg["p_enum_max"],
+                threads=cfg["threads"],
             )
             for q in points:
                 rows.append(
@@ -369,26 +420,26 @@ def _gnuplot_phase(stem: str, layers: list[str]) -> str:
 
 def cmd_mc(cfg: dict) -> int:
     mode = cfg["mode"]
-    trials = int(cfg["trials"])
+    trials = cfg["trials"]
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    n = int(cfg["n"])
+    n = cfg["n"]
     grid = cfg["alpha_grid"]
     if not grid:
         raise ValidationError("mc needs a load grid")
-    seed = int(cfg["seed"])
+    seed = cfg["seed"]
     rng = Rng(seed)
     if mode == "pairs":
         if cfg.get("rho") is None:
             raise ValidationError("pairs mode needs --rho")
-        spec = StructureSpec.pairs(float(cfg["rho"]))
+        spec = StructureSpec.pairs(cfg["rho"])
         margin = 0.0
-        knob = float(cfg["rho"])
+        knob = cfg["rho"]
     elif mode == "margin":
         if cfg.get("kappa") is None:
             raise ValidationError("margin mode needs --kappa")
         spec = StructureSpec.unstructured()
-        margin = float(cfg["kappa"])
+        margin = cfg["kappa"]
         knob = margin
     else:
         raise ValidationError(f"unknown mode {mode!r}")
@@ -407,10 +458,10 @@ def cmd_mc(cfg: dict) -> int:
             trials,
             rng,
             margin=margin,
-            p_enum_max=int(cfg["p_enum_max"]),
+            p_enum_max=cfg["p_enum_max"],
             probe=cfg["probe"],
-            num_weights=int(cfg["num_weights"]),
-            threads=int(cfg["threads"]),
+            num_weights=cfg["num_weights"],
+            threads=cfg["threads"],
             with_counts=bool(cfg.get("with_counts")),
             progress=_progress,
         )
@@ -473,22 +524,22 @@ def cmd_mc(cfg: dict) -> int:
 
 def cmd_fss(cfg: dict) -> int:
     if cfg.get("theta0") is not None:
-        theta0 = float(cfg["theta0"])
+        theta0 = cfg["theta0"]
     elif cfg.get("rho") is not None:
-        theta0 = psi2(float(cfg["rho"]))
+        theta0 = psi2(cfg["rho"])
     else:
         raise ValidationError("fss needs --rho or --theta0")
-    theta1 = float(cfg.get("theta1") or 1.0)
+    theta1 = cfg.get("theta1") or 1.0
     n_list = cfg["n_list"]
     if not n_list:
         raise ValidationError("fss needs a dimension list")
     if cfg.get("alpha_star") is not None:
-        alpha_star = float(cfg["alpha_star"])
+        alpha_star = cfg["alpha_star"]
     else:
         alpha_star = transition_load(theta0, theta1).alpha_star
-    rel = float(cfg["window"])
-    npts = int(cfg["points"])
-    beta = float(cfg["beta"])
+    rel = cfg["window"]
+    npts = cfg["points"]
+    beta = cfg["beta"]
     curve = []
     for n in n_list:
         for i in range(npts):
@@ -545,11 +596,11 @@ def _gnuplot_fss(csv_path: str, n_list: list[int]) -> str:
 
 def cmd_psi(cfg: dict) -> int:
     spec = _resolve_spec(cfg)
-    rng = Rng(int(cfg["seed"]))
-    n = int(cfg["n"])
-    samples = int(cfg["samples"])
+    rng = Rng(cfg["seed"])
+    n = cfg["n"]
+    samples = cfg["samples"]
     if cfg.get("m") is not None:
-        m = int(cfg["m"])
+        m = cfg["m"]
         est, err = psi_m_estimate(spec, m, n, samples, rng)
         print(json.dumps({"m": m, "estimate": est, "stderr": err}, sort_keys=True))
         return 0

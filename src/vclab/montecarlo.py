@@ -19,6 +19,15 @@ backends and one sampling probe:
   labelings they induce; a lower bound on the count and a SAT witness
   finder, with no UNSAT certificate.
 
+Prefix certificate: realizability is monotone in the multiplet set at every
+margin (a labeling of the whole dataset restricts to one of any subset), so
+an UNSAT subset certifies an UNSAT dataset.  After picking the backend on
+the whole dataset, a ``cells`` or ``sigma`` probe first decides the prefixes
+of q = 8, 16, 32, ... < p multiplets with that backend's early-exit scan;
+the first UNSAT prefix ends the probe with the exact count 0, and a dataset
+whose prefixes are all SAT is scanned in full.  Deep-UNSAT trials are thus
+decided on a few dozen multiplets instead of all p.
+
 Each trial samples one dataset from its (master seed, trial index) stream
 and probes it once; a counting probe also decides SAT, so mean counts and
 SAT fractions describe the same disorder.  A library call runs its trials
@@ -207,13 +216,37 @@ def _sigma_scan(
     return 2 * feasible, feasible > 0
 
 
+def _unsat_prefix(
+    dataset: Dataset, margin: float, p_enum_max: int, chosen: str
+) -> bool:
+    """True when a prefix of q = 8, 16, 32, ... < p multiplets is UNSAT,
+    which certifies the whole dataset UNSAT (see the module docstring)."""
+    if chosen == METHOD_SIGMA and dataset.p > p_enum_max:
+        return False  # the full-set scan raises the budget error
+    q = 8
+    while q < dataset.p:
+        prefix = Dataset(spec=dataset.spec, n=dataset.n, p=q, points=dataset.points[:q])
+        if chosen == METHOD_CELLS:
+            _, sat = _cells_scan(prefix, margin, True)
+        else:
+            _, sat = _sigma_scan(prefix, margin, p_enum_max, True)
+        if not sat:
+            return True
+        q *= 2
+    return False
+
+
 def _probe(
     dataset: Dataset, margin: float, p_enum_max: int, method: str, early_exit: bool
 ) -> SatProbe:
     if margin < 0:
         raise ValidationError("margin must be >= 0")
     chosen = _pick_method(dataset, margin, p_enum_max, method)
-    if chosen == METHOD_FULL_RANK:
+    if chosen in (METHOD_CELLS, METHOD_SIGMA) and _unsat_prefix(
+        dataset, margin, p_enum_max, chosen
+    ):
+        count, sat = 0, False
+    elif chosen == METHOD_FULL_RANK:
         count, sat = 2 ** dataset.p, True
     elif chosen == METHOD_CELLS:
         count, sat = _cells_scan(dataset, margin, early_exit)
@@ -242,7 +275,9 @@ def count_admissible_dichotomies(
     Backend selection (``method="auto"``): full-rank shortcut when the kp
     points are linearly independent, cell enumeration when the points span
     at most 3 dimensions, otherwise sign-vector enumeration within
-    ``p_enum_max`` (`BudgetError` beyond it).
+    ``p_enum_max`` (`BudgetError` beyond it).  The backend is chosen on the
+    whole dataset; if a prefix of 8, 16, 32, ... multiplets is UNSAT the
+    count is 0 without a scan of the whole dataset.
     """
     return _probe(dataset, margin, p_enum_max, method, early_exit=False)
 
@@ -255,8 +290,9 @@ def admissible_exists(
 ) -> SatProbe:
     """SAT/UNSAT decision with early exit on the first realizable labeling.
 
-    UNSAT outcomes are exhaustive (``enumerated=True``); SAT outcomes stop
-    at the witness, so the reported count is partial.
+    UNSAT outcomes are exhaustive (``enumerated=True``), whether certified
+    by an UNSAT prefix of 8, 16, 32, ... multiplets or by the whole dataset;
+    SAT outcomes stop at the witness, so the reported count is partial.
     """
     return _probe(dataset, margin, p_enum_max, method, early_exit=True)
 
@@ -391,6 +427,9 @@ def sat_fraction_scan(
         raise ValidationError(f"unknown probe {probe!r}")
     if not alpha_grid:
         raise ValidationError("alpha grid must be nonempty")
+    for alpha in alpha_grid:
+        if not math.isfinite(alpha):
+            raise ValidationError(f"alpha={alpha} is not finite")
     loads = [int(round(alpha * n)) for alpha in alpha_grid]
     for alpha, p in zip(alpha_grid, loads):
         if p < 1:

@@ -138,6 +138,15 @@ class TestMc:
         assert json.loads(out)["error"] == "ValidationError"
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("grid", ["nan", "1,inf", "0:inf:1", "1..inf"])
+    def test_non_finite_load_is_validation_error(self, capsys, tmp_path, grid):
+        code, out, _ = run(
+            capsys, "mc", "--mode", "pairs", "--rho", "0.5", "--n", "3",
+            "--alpha", grid, "--trials", "2", "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 1
+        assert json.loads(out)["error"] == "ValidationError"
+
     def test_zero_trials_validation(self, capsys, tmp_path):
         code, out, _ = run(
             capsys, "mc", "--mode", "pairs", "--rho", "0.5", "--n", "3",
@@ -268,6 +277,38 @@ class TestConfigFile:
         cfg.write_text("{not json")
         code, _, _ = run(capsys, "transition", "--config", str(cfg), "--rho", "0")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "command, loaded",
+        [
+            (["count", "--k", "1", "--n", "3", "--alpha", "1"], {"seed": "abc"}),
+            (["mc", "--rho", "0.5", "--alpha", "1"], {"trials": "x"}),
+            (["phase-diagram", "--layers", "mc"], {"rho_grid": "0.5"}),
+            (["fss", "--rho", "0"], {"plot_script": 5}),
+        ],
+    )
+    def test_wrong_value_type_is_validation_error(self, capsys, tmp_path, command, loaded):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(loaded))
+        code, out, _ = run(
+            capsys, *command, "--config", str(cfg), "--out", str(tmp_path / "x"),
+        )
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["error"] == "ValidationError"
+        assert next(iter(loaded)) in payload["message"]
+
+    def test_numeric_strings_are_coerced(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"seed": "7", "trials": "2", "alpha_grid": [1, "2"]}))
+        out = tmp_path / "x.csv"
+        code, _, _ = run(
+            capsys, "mc", "--config", str(cfg), "--rho", "0.5", "--threads", "1",
+            "--out", str(out),
+        )
+        assert code == 0
+        assert "# seed = 7" in out.read_text()
+        assert len(data_lines(out)) == 1 + 2
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, out, _ = run(

@@ -1,6 +1,7 @@
 """Tests for disorder sampling and the satisfiability probes."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from vclab.errors import BudgetError, ValidationError
 from vclab.montecarlo import (
     Dataset,
     PhasePoint,
+    _cells_scan,
+    _sigma_scan,
     admissible_exists,
     count_admissible_dichotomies,
     crossover_load,
@@ -203,6 +206,83 @@ class TestExistence:
             )
 
 
+def antipodal_pairs(n: int, p: int, seed: int) -> Dataset:
+    """Pairs at overlap -1: no pair fits on one side, so every prefix is UNSAT."""
+    ds = sample_dataset(UNSTRUCTURED, n, p, Rng(seed))
+    pts = np.concatenate([ds.points, -ds.points], axis=1)
+    return Dataset(spec=StructureSpec.pairs(-1.0), n=n, p=p, points=pts)
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """Record the number of multiplets of every backend scan."""
+    seen = []
+
+    def recording(scan):
+        def wrapper(dataset, *args):
+            seen.append(dataset.p)
+            return scan(dataset, *args)
+
+        return wrapper
+
+    monkeypatch.setattr("vclab.montecarlo._cells_scan", recording(_cells_scan))
+    monkeypatch.setattr("vclab.montecarlo._sigma_scan", recording(_sigma_scan))
+    return seen
+
+
+class TestPrefixCertificate:
+    def test_matches_full_set_scan(self):
+        # the whole-dataset scan without prefixes is the oracle for both the
+        # decision and the exact count
+        cases = [
+            (StructureSpec.pairs(rho), 3, p, 0.0, "cells")
+            for rho in (-1.0, -0.5, 0.0, 0.5, 0.8, 1.0)
+            for p in (6, 9, 17, 30)
+        ]
+        cases += [(UNSTRUCTURED, 3, p, 0.5, "cells") for p in (9, 12, 17)]
+        cases += [
+            (StructureSpec.pairs(rho), 4, p, 0.0, "sigma") for rho in (0.0, 0.5) for p in (9, 10)
+        ]
+        past_first_prefix = Counter()
+        for i, (spec, n, p, margin, method) in enumerate(cases):
+            for t in range(3):
+                ds = sample_dataset(spec, n, p, Rng(61, (i, t)))
+                if method == "cells":
+                    count, sat = _cells_scan(ds, margin, False)
+                else:
+                    count, sat = _sigma_scan(ds, margin, 22, False)
+                exists = admissible_exists(ds, margin=margin)
+                full = count_admissible_dichotomies(ds, margin=margin)
+                assert exists.method == full.method == method
+                assert exists.sat == sat
+                assert (full.count, full.sat) == (count, sat)
+                assert exists.enumerated == (not sat) and full.enumerated
+                past_first_prefix[method, sat] += p > 8
+        # both outcomes of both backends reach the prefix loop
+        assert len(past_first_prefix) == 4 and min(past_first_prefix.values()) >= 2
+
+    @pytest.mark.parametrize("n, method", [(3, "cells"), (4, "sigma")])
+    def test_unsat_prefix_decides_the_dataset(self, scans, n, method):
+        ds = antipodal_pairs(n, 20, 62)
+        for probe in (admissible_exists(ds), count_admissible_dichotomies(ds)):
+            assert (probe.count, probe.sat, probe.enumerated) == (0, False, True)
+            assert probe.method == method
+        assert scans == [8, 8]  # the full set is never scanned
+
+    def test_sat_prefixes_fall_through_to_the_full_set(self, scans):
+        ds = sample_dataset(StructureSpec.pairs(1.0), 3, 20, Rng(63))
+        assert count_admissible_dichotomies(ds).count == cover_count_exact(3, 20)
+        assert scans == [8, 16, 20]
+
+    def test_budget_errors_unchanged(self):
+        # a forced sigma scan beyond its budget raises although q=8 is UNSAT
+        with pytest.raises(BudgetError):
+            admissible_exists(antipodal_pairs(3, 12, 64), method="sigma", p_enum_max=10)
+        # rank > 3 past p_enum_max has no exact backend, whatever a prefix says
+        with pytest.raises(BudgetError):
+            admissible_exists(antipodal_pairs(4, 24, 65))
+
+
 class TestRandomClassifierProbe:
     def test_lower_bound_and_coverage(self):
         equal = 0
@@ -361,6 +441,9 @@ class TestSatFractionScan:
             sat_fraction_scan(PAIRS_HALF, 3, [1.0], 0, Rng(0))
         with pytest.raises(ValidationError):
             sat_fraction_scan(PAIRS_HALF, 3, [1.0], 10, Rng(0), threads=0)
+        for alpha in (math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                sat_fraction_scan(PAIRS_HALF, 3, [1.0, alpha], 10, Rng(0))
 
     def test_threads_match_serial(self):
         a = sat_fraction_scan(PAIRS_HALF, 3, [2, 4], 16, Rng(55), threads=1)
