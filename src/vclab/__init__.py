@@ -12,7 +12,6 @@ from .asymptotics import (
     FssResult,
     ScalingForm,
     TransitionResult,
-    annealed_log_density_pairs,
     annealed_threshold_margin,
     annealed_threshold_pairs,
     asymptotic_log_count,
@@ -51,9 +50,6 @@ from .numerics import (
     Rng,
     bisect_root,
     cholesky,
-    erfc,
-    log_gamma,
-    log_sum_exp,
     sample_orthonormal_frame,
 )
 from .recursion import (
@@ -61,9 +57,8 @@ from .recursion import (
     build_count_table,
     cover_count_exact,
     crossing_load,
-    vc_entropy,
 )
-from .separability import linearly_separable, max_margin, realizable_sign_patterns
+from .separability import max_margin
 from .structure import (
     PsiVector,
     StructureSpec,
@@ -104,7 +99,6 @@ __all__ = [
     "ValidationError",
     "VclabError",
     "admissible_exists",
-    "annealed_log_density_pairs",
     "annealed_threshold_margin",
     "annealed_threshold_pairs",
     "asymptotic_log_count",
@@ -116,23 +110,17 @@ __all__ = [
     "crossing_load",
     "crossover_load",
     "entropic_term",
-    "erfc",
     "estimate_mean_count",
     "fss_rescale",
-    "linearly_separable",
-    "log_gamma",
-    "log_sum_exp",
     "max_margin",
     "psi2",
     "psi_m_estimate",
     "psi_vector",
     "random_classifier_probe",
-    "realizable_sign_patterns",
     "sample_dataset",
     "sample_multiplet",
     "sample_orthonormal_frame",
     "sat_fraction_scan",
     "theta_coefficients",
     "transition_load",
-    "vc_entropy",
 ]

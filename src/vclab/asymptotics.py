@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, DomainError, NoTransitionError, ValidationError
-from .numerics import bisect_root, erfc, log_gamma
+from .numerics import bisect_root
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -105,7 +105,7 @@ class AsymptoticForm:
     def log_count(self, p: float) -> float:
         """log of R * z0^(-(p+r)) * binom(p+r-1, r-1) at real-valued p."""
         r = self.pole_order
-        log_binom = log_gamma(p + r) - log_gamma(r) - log_gamma(p + 1)
+        log_binom = math.lgamma(p + r) - math.lgamma(r) - math.lgamma(p + 1)
         return self.log_finite_part - (p + r) * math.log(self.pole_location) + log_binom
 
 
@@ -124,9 +124,9 @@ def asymptotic_log_count(alpha: float, n: int, theta0: float, theta1: float) -> 
     an = alpha * n
     return (
         math.log(2.0)
-        + log_gamma(an + n)
-        - log_gamma(n)
-        - log_gamma(an + 1.0)
+        + math.lgamma(an + n)
+        - math.lgamma(n)
+        - math.lgamma(an + 1.0)
         + (n - 1) * math.log(theta1)
         + (alpha - 1.0) * n * math.log(theta0)
     )
@@ -214,21 +214,6 @@ def transition_load(
     )
 
 
-def annealed_log_density_pairs(alpha: float, rho: float) -> float:
-    """Annealed growth rate (per dimension) of the label-integrated volume
-    for the pair ensemble: (1/2)(log 2pi + 1) + alpha * log(1/2 + asin(rho)/pi).
-
-    Affine in alpha with the closed-form threshold as its unique root;
-    exposed for plotting the annealed layer of the phase diagram.
-    """
-    if not -1.0 <= rho <= 1.0:
-        raise DomainError(f"overlap must lie in [-1, 1], got {rho}")
-    half_plus = 0.5 + math.asin(rho) / math.pi
-    if half_plus <= 0.0:
-        return float("-inf") if alpha > 0 else 0.5 * (LOG_2PI + 1.0)
-    return 0.5 * (LOG_2PI + 1.0) + alpha * math.log(half_plus)
-
-
 def annealed_threshold_pairs(rho: float) -> TransitionResult:
     """Annealed critical load for pairs: -(log 2pi + 1) / (2 log(1/2 + asin(rho)/pi)).
 
@@ -261,7 +246,7 @@ def annealed_threshold_margin(kappa: float) -> TransitionResult:
     """
     if kappa <= 0.0:
         raise DivergenceError("margin threshold diverges at kappa = 0")
-    e = erfc(kappa)
+    e = math.erfc(kappa)
     if e <= 0.0:
         raise DomainError(f"erfc underflowed to zero at kappa = {kappa}")
     alpha = -(LOG_2PI + 1.0) / (2.0 * math.log(e))

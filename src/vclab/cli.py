@@ -67,12 +67,29 @@ def _number(kind, value):
     """``value`` as a finite int or float; strings are parsed, bools refused."""
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise TypeError(f"expected a number, got {type(value).__name__}")
-    x = kind(value)
+    try:
+        x = kind(value)
+    except ValueError:
+        raise ValueError(f"expected {kind.__name__}, got {value!r}") from None
     if not math.isfinite(x) or (isinstance(value, float) and x != value):
-        raise ValueError(f"not a finite {kind.__name__}")
+        raise ValueError(f"not a finite {kind.__name__}: {value!r}")
     return x
 
 
+def _flag_type(parse):
+    """``parse`` as an argparse type whose refusals keep their reason
+    (argparse reports a plain ValueError by the function's name)."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    return convert
+
+
+@_flag_type
 def _parse_grid(text: str) -> list[float]:
     """Grid syntax: 'a,b,c' | 'lo:hi:step' | 'lo..hi' (unit step)."""
     text = text.strip()
@@ -93,8 +110,15 @@ def _parse_grid(text: str) -> list[float]:
     return [_number(float, v) for v in text.split(",") if v.strip()]
 
 
+@_flag_type
 def _parse_int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
+    return [_number(int, v) for v in text.split(",") if v.strip()]
+
+
+@_flag_type
+def _parse_pairs(text: str) -> list[tuple[int, ...]]:
+    """Dimension pairs 'n1:n2,n1:n2'."""
+    return [tuple(_number(int, v) for v in pair.split(":")) for pair in text.split(",")]
 
 
 def _resolve_spec(cfg: dict) -> StructureSpec:
@@ -196,7 +220,8 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
         if not isinstance(loaded, dict):
             raise ValidationError("config file must contain a JSON object")
         for key, value in loaded.items():
-            cfg[key.replace("-", "_")] = value
+            if value is not None:  # null means unset, as for an absent flag
+                cfg[key.replace("-", "_")] = value
     for key, value in vars(args).items():
         if key in ("command", "config", "func"):
             continue
@@ -208,7 +233,7 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
                 cfg[key] = convert(cfg[key])
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValidationError(f"config value {key}={cfg[key]!r}: {exc}") from exc
-    if cfg["threads"] < 1:
+    if "threads" in defaults and cfg["threads"] < 1:
         raise ValidationError(f"threads must be an integer >= 1, got {cfg['threads']!r}")
     return cfg
 
@@ -304,7 +329,7 @@ def cmd_transition(cfg: dict) -> int:
         result = annealed_threshold_pairs(cfg["rho"])
     elif method == METHOD_COMBINATORIAL:
         if cfg.get("theta0") is not None:
-            result = transition_load(cfg["theta0"], cfg.get("theta1") or 1.0)
+            result = transition_load(cfg["theta0"], cfg["theta1"])
         elif cfg.get("rho") is not None:
             result = transition_load(psi2(cfg["rho"]), 1.0)
         else:
@@ -529,7 +554,7 @@ def cmd_fss(cfg: dict) -> int:
         theta0 = psi2(cfg["rho"])
     else:
         raise ValidationError("fss needs --rho or --theta0")
-    theta1 = cfg.get("theta1") or 1.0
+    theta1 = cfg["theta1"]
     n_list = cfg["n_list"]
     if not n_list:
         raise ValidationError("fss needs a dimension list")
@@ -539,6 +564,8 @@ def cmd_fss(cfg: dict) -> int:
         alpha_star = transition_load(theta0, theta1).alpha_star
     rel = cfg["window"]
     npts = cfg["points"]
+    if npts < 2:
+        raise ValidationError(f"fss needs at least 2 points per curve, got {npts}")
     beta = cfg["beta"]
     curve = []
     for n in n_list:
@@ -623,12 +650,19 @@ def cmd_psi(cfg: dict) -> int:
 # ----------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+_COMMON_FLAGS = {
+    "seed": "master seed (default 0)",
+    "threads": "worker processes for Monte Carlo trials",
+    "p_enum_max": "sign-vector enumeration budget (default 22)",
+}
+
+
+def _add_common(sub: argparse.ArgumentParser, *flags: str) -> None:
+    """``--config`` and the named ones of `_COMMON_FLAGS`."""
     sub.add_argument("--config", help="JSON config file; flags override its values")
-    sub.add_argument("--seed", type=int, help="master seed (default 0)")
-    sub.add_argument("--threads", type=int, help="worker processes for Monte Carlo trials")
-    sub.add_argument("--p-enum-max", dest="p_enum_max", type=int,
-                     help="sign-vector enumeration budget (default 22)")
+    for name in flags:
+        sub.add_argument("--" + name.replace("_", "-"), dest=name, type=int,
+                         help=_COMMON_FLAGS[name])
 
 
 def build_parser() -> _Parser:
@@ -644,7 +678,7 @@ def build_parser() -> _Parser:
     c.add_argument("--trials", type=int, help="Monte Carlo trials per point (0 = analytic only)")
     c.add_argument("--out")
     c.add_argument("--plot-script", dest="plot_script")
-    _add_common(c)
+    _add_common(c, "seed", "threads", "p_enum_max")
     c.set_defaults(func=cmd_count)
 
     t = subs.add_parser("transition", help="one critical load as JSON")
@@ -660,15 +694,14 @@ def build_parser() -> _Parser:
     d = subs.add_parser("phase-diagram", help="threshold lines, crossings, Monte Carlo layer")
     d.add_argument("--rho", dest="rho_grid", type=_parse_grid, help="overlap grid in [0,1)")
     d.add_argument("--layers", help="comma subset of combinatorial,annealed,crossing,mc")
-    d.add_argument("--n-pairs", dest="n_pairs",
-                   type=lambda s: [tuple(int(v) for v in pair.split(":")) for pair in s.split(",")],
+    d.add_argument("--n-pairs", dest="n_pairs", type=_parse_pairs,
                    help="crossing dimension pairs, e.g. 40:20,6:3")
     d.add_argument("--mc-n", dest="mc_n", type=int, help="dimension of the sampled layer")
     d.add_argument("--alpha", dest="alpha_grid", type=_parse_grid, help="load grid of the sampled layer")
     d.add_argument("--trials", type=int)
     d.add_argument("--out")
     d.add_argument("--plot-script", dest="plot_script")
-    _add_common(d)
+    _add_common(d, "seed", "threads", "p_enum_max")
     d.set_defaults(func=cmd_phase_diagram)
 
     m = subs.add_parser("mc", help="SAT-fraction scan over loads")
@@ -682,7 +715,7 @@ def build_parser() -> _Parser:
     m.add_argument("--num-weights", dest="num_weights", type=int)
     m.add_argument("--with-counts", dest="with_counts", action="store_const", const=True)
     m.add_argument("--out")
-    _add_common(m)
+    _add_common(m, "seed", "threads", "p_enum_max")
     m.set_defaults(func=cmd_mc)
 
     f = subs.add_parser("fss", help="finite-size-scaling collapse of asymptotic curves")
@@ -705,7 +738,7 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--samples", type=int)
-    _add_common(p)
+    _add_common(p, "seed")
     p.set_defaults(func=cmd_psi)
 
     return parser
@@ -714,8 +747,7 @@ def build_parser() -> _Parser:
 _DEFAULTS: dict[str, dict] = {
     "count": {"seed": 0, "threads": 1, "p_enum_max": 22, "trials": 0,
               "out": "count.csv", "n_list": [], "alpha_grid": []},
-    "transition": {"seed": 0, "threads": 1, "p_enum_max": 22,
-                   "method": METHOD_COMBINATORIAL},
+    "transition": {"method": METHOD_COMBINATORIAL, "theta1": 1.0},
     "phase-diagram": {"seed": 0, "threads": os.cpu_count() or 1, "p_enum_max": 22,
                       "layers": "combinatorial,annealed,crossing,mc",
                       "n_pairs": [(40, 20), (6, 3)], "mc_n": 3,
@@ -725,9 +757,9 @@ _DEFAULTS: dict[str, dict] = {
            "mode": "pairs", "probe": "enumerate", "num_weights": 10000,
            "trials": 100, "n": 3, "alpha_grid": [], "out": "mc.csv",
            "with_counts": False},
-    "fss": {"seed": 0, "threads": 1, "p_enum_max": 22, "n_list": [50, 100, 200],
-            "window": 0.1, "points": 21, "beta": 0.5, "out": "fss.csv"},
-    "psi": {"seed": 0, "threads": 1, "p_enum_max": 22, "n": 50, "samples": 100000},
+    "fss": {"n_list": [50, 100, 200], "theta1": 1.0, "window": 0.1, "points": 21,
+            "beta": 0.5, "out": "fss.csv"},
+    "psi": {"seed": 0, "n": 50, "samples": 100000},
 }
 
 

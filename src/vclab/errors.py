@@ -15,7 +15,7 @@ class ValidationError(VclabError, ValueError):
 
 
 class DomainError(ValidationError):
-    """Mathematical domain violation (e.g. log-gamma at x <= 0)."""
+    """Mathematical domain violation (e.g. an overlap outside [-1, 1])."""
 
 
 class DimensionError(ValidationError):

@@ -2,19 +2,21 @@
 
 A trial samples p multiplets, then asks which admissible labelings (one
 sign per multiplet, shared by its k points) are realizable by a
-homogeneous linear classifier, optionally with a margin.  Three exact
-backends and one sampling probe:
+homogeneous linear classifier, optionally with a margin.  Each exact
+backend is a generator that yields every realizable admissible labeling
+once, so a SAT decision takes its first labeling and an exact count drains
+it:
 
 * ``full-rank``: kp independent points realize every labeling; the count
   is 2^p with no search (margin 0 only).
-* ``cells``: enumerate the cells of the central hyperplane arrangement of
-  the kp points (exact for effective rank <= 3 at any p; this is what
-  makes deep-UNSAT scans at n = 3 affordable, where 2^p enumeration is
-  hopeless).  With a positive margin the admissible cells are re-checked
-  against the margin.
-* ``sigma``: enumerate sign vectors sigma in {+/-1}^p with sigma_1 = +1
-  fixed (the +/-sigma symmetry halves the work; counts are doubled) and
-  decide each by `max_margin`.  Budgeted by ``p_enum_max``.
+* ``cells``: read the labelings off the cells of the central hyperplane
+  arrangement of the kp points (exact for effective rank <= 3 at any p;
+  this is what makes deep-UNSAT scans at n = 3 affordable, where 2^p
+  enumeration is hopeless).  With a positive margin the admissible cells
+  are re-checked against the margin.
+* ``sigma``: try each sign vector sigma in {+/-1}^p with sigma_1 = +1 with
+  `max_margin` and yield sigma and -sigma together (the margin is invariant
+  under the flip, so one solve decides both).  Budgeted by ``p_enum_max``.
 * `random_classifier_probe`: sample random directions and read off the
   labelings they induce; a lower bound on the count and a SAT witness
   finder, with no UNSAT certificate.
@@ -22,9 +24,9 @@ backends and one sampling probe:
 Prefix certificate: realizability is monotone in the multiplet set at every
 margin (a labeling of the whole dataset restricts to one of any subset), so
 an UNSAT subset certifies an UNSAT dataset.  After picking the backend on
-the whole dataset, a ``cells`` or ``sigma`` probe first decides the prefixes
-of q = 8, 16, 32, ... < p multiplets with that backend's early-exit scan;
-the first UNSAT prefix ends the probe with the exact count 0, and a dataset
+the whole dataset, a ``cells`` or ``sigma`` probe first asks that backend
+for one labeling of each prefix of q = 8, 16, 32, ... < p multiplets; the
+first prefix with none ends the probe with the exact count 0, and a dataset
 whose prefixes are all SAT is scanned in full.  Deep-UNSAT trials are thus
 decided on a few dozen multiplets instead of all p.
 
@@ -42,6 +44,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 from itertools import islice, product
+from typing import Iterator
 
 import numpy as np
 
@@ -51,6 +54,7 @@ from .separability import (
     TAU,
     dedupe_directions,
     max_margin,
+    numerical_rank,
     sign_pattern_blocks,
 )
 from .structure import StructureSpec, sample_multiplet
@@ -79,31 +83,20 @@ class Dataset:
         """All kp points as a (p*k, n) array, multiplet-major order."""
         return self.points.reshape(self.p * self.spec.k, self.n)
 
-    def validate(self, atol: float = 1e-9) -> None:
-        """Check unit norms and the within-multiplet overlap constraints."""
-        if self.points.shape != (self.p, self.spec.k, self.n):
-            raise ValidationError(f"points shape {self.points.shape} is inconsistent")
-        norms = np.linalg.norm(self.points, axis=2)
-        if np.max(np.abs(norms - 1.0)) > atol:
-            raise ValidationError("points are not unit vectors")
-        grams = np.einsum("pan,pbn->pab", self.points, self.points)
-        if np.max(np.abs(grams - self.spec.gram[None])) > atol:
-            raise ValidationError("within-multiplet overlaps violate the spec")
-
 
 @dataclass(frozen=True)
 class SatProbe:
     """Outcome of a separability probe on one dataset.
 
     ``count`` is exact (and even, by the sigma -> -sigma symmetry) when
-    ``enumerated`` is true; early exits and random-classifier probes report
-    partial counts with ``enumerated`` false.
+    ``enumerated`` is true; a SAT decision stops at its first labeling and a
+    random-classifier probe samples, so both report partial counts with
+    ``enumerated`` false.
     """
 
     count: int
     sat: bool
     enumerated: bool
-    margin_used: float
     method: str
 
 
@@ -135,33 +128,28 @@ def _signed_flat(dataset: Dataset, labels: np.ndarray) -> np.ndarray:
     return np.repeat(np.asarray(labels, dtype=float), dataset.spec.k)
 
 
-def _effective_rank(flat: np.ndarray) -> int:
-    s = np.linalg.svd(flat, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > max(flat.shape) * np.finfo(float).eps * s[0]))
-
-
 def _pick_method(dataset: Dataset, margin: float, p_enum_max: int, method: str) -> str:
-    if method != "auto":
-        return method
-    flat = dataset.flat
-    rank = _effective_rank(flat)
-    if margin == 0.0 and rank == flat.shape[0]:
-        return METHOD_FULL_RANK
-    if rank <= 3:
-        return METHOD_CELLS
-    if dataset.p <= p_enum_max:
-        return METHOD_SIGMA
-    raise BudgetError(
-        f"p={dataset.p} exceeds the sign-vector enumeration budget {p_enum_max} "
-        f"and the effective rank {rank} is too high for cell enumeration; "
-        "use random_classifier_probe or raise p_enum_max"
-    )
+    chosen = method
+    if method == "auto":
+        flat = dataset.flat
+        rank = numerical_rank(np.linalg.svd(flat, compute_uv=False), flat.shape)
+        if margin == 0.0 and rank == flat.shape[0]:
+            return METHOD_FULL_RANK
+        chosen = METHOD_CELLS if rank <= 3 else METHOD_SIGMA
+    if chosen == METHOD_SIGMA and dataset.p > p_enum_max:
+        message = f"p={dataset.p} exceeds the sign-vector enumeration budget {p_enum_max}"
+        if method == "auto":
+            message += (
+                f" and the effective rank {rank} is too high for cell enumeration; "
+                "use random_classifier_probe or raise p_enum_max"
+            )
+        raise BudgetError(message)
+    return chosen
 
 
-def _cells_scan(dataset: Dataset, margin: float, early_exit: bool) -> tuple[int, bool]:
-    """Count (or detect) admissible realizable labelings via arrangement cells.
+def _cells_labelings(dataset: Dataset, margin: float) -> Iterator[np.ndarray]:
+    """Yield each admissible labeling realizable above the margin once,
+    read off the cells of the arrangement of the kp points.
 
     Degenerate-edge candidates and all positive-margin candidates are
     verified with `max_margin`; at margin 0 on generic data the cell
@@ -170,96 +158,62 @@ def _cells_scan(dataset: Dataset, margin: float, early_exit: bool) -> tuple[int,
     flat = dataset.flat
     p, k = dataset.p, dataset.spec.k
     reps, idx, sgn = dedupe_directions(flat)
-    accepted: set[bytes] = set()
-    rejected: set[bytes] = set()
+    seen: set[bytes] = set()
     for block, verify in sign_pattern_blocks(reps):
         full = block[:, idx] * sgn[None, :]
         grouped = full.reshape(-1, p, k)
         consistent = np.all(grouped == grouped[:, :, :1], axis=(1, 2))
         if not consistent.any():
             continue
-        labels = grouped[consistent, :, 0]
-        flags = verify[consistent]
-        for row, flagged in zip(labels, flags):
+        for row, flagged in zip(grouped[consistent, :, 0], verify[consistent]):
             key = row.tobytes()
-            if key in accepted or key in rejected:
+            if key in seen:
                 continue
+            seen.add(key)
             if margin > 0.0 or flagged:
-                value = max_margin(flat, _signed_flat(dataset, row))
-                if value <= margin + TAU:
-                    rejected.add(key)
+                if max_margin(flat, _signed_flat(dataset, row)) <= margin + TAU:
                     continue
-            accepted.add(key)
-            if early_exit:
-                return len(accepted), True
-    return len(accepted), len(accepted) > 0
+            yield row
 
 
-def _sigma_scan(
-    dataset: Dataset, margin: float, p_enum_max: int, early_exit: bool
-) -> tuple[int, bool]:
-    """Enumerate labelings with the first sign fixed to +1; counts are
-    reported for both orientations."""
-    p = dataset.p
-    if p > p_enum_max:
-        raise BudgetError(
-            f"p={p} exceeds the sign-vector enumeration budget {p_enum_max}"
-        )
+def _sigma_labelings(dataset: Dataset, margin: float) -> Iterator[np.ndarray]:
+    """Yield each realizable labeling sigma with sigma_1 = +1, then -sigma
+    (the margin is invariant under the sign flip, so one solve decides both)."""
     flat = dataset.flat
-    feasible = 0
-    for bits in product((1, -1), repeat=p - 1):
+    for bits in product((1, -1), repeat=dataset.p - 1):
         labels = np.array((1,) + bits, dtype=np.int8)
         if max_margin(flat, _signed_flat(dataset, labels)) > margin + TAU:
-            feasible += 1
-            if early_exit:
-                return 2 * feasible, True
-    return 2 * feasible, feasible > 0
-
-
-def _unsat_prefix(
-    dataset: Dataset, margin: float, p_enum_max: int, chosen: str
-) -> bool:
-    """True when a prefix of q = 8, 16, 32, ... < p multiplets is UNSAT,
-    which certifies the whole dataset UNSAT (see the module docstring)."""
-    if chosen == METHOD_SIGMA and dataset.p > p_enum_max:
-        return False  # the full-set scan raises the budget error
-    q = 8
-    while q < dataset.p:
-        prefix = Dataset(spec=dataset.spec, n=dataset.n, p=q, points=dataset.points[:q])
-        if chosen == METHOD_CELLS:
-            _, sat = _cells_scan(prefix, margin, True)
-        else:
-            _, sat = _sigma_scan(prefix, margin, p_enum_max, True)
-        if not sat:
-            return True
-        q *= 2
-    return False
+            yield labels
+            yield -labels
 
 
 def _probe(
-    dataset: Dataset, margin: float, p_enum_max: int, method: str, early_exit: bool
+    dataset: Dataset, margin: float, p_enum_max: int, method: str, limit: int | None
 ) -> SatProbe:
+    """Decide (``limit=1``) or count (``limit=None``) the realizable labelings."""
     if margin < 0:
         raise ValidationError("margin must be >= 0")
     chosen = _pick_method(dataset, margin, p_enum_max, method)
-    if chosen in (METHOD_CELLS, METHOD_SIGMA) and _unsat_prefix(
-        dataset, margin, p_enum_max, chosen
-    ):
-        count, sat = 0, False
-    elif chosen == METHOD_FULL_RANK:
-        count, sat = 2 ** dataset.p, True
-    elif chosen == METHOD_CELLS:
-        count, sat = _cells_scan(dataset, margin, early_exit)
+    if chosen == METHOD_FULL_RANK:
+        return SatProbe(count=2 ** dataset.p, sat=True, enumerated=True, method=chosen)
+    if chosen == METHOD_CELLS:
+        labelings = _cells_labelings
     elif chosen == METHOD_SIGMA:
-        count, sat = _sigma_scan(dataset, margin, p_enum_max, early_exit)
+        labelings = _sigma_labelings
     else:
         raise ValidationError(f"unknown method {chosen!r}")
+    q = 8
+    while q < dataset.p:
+        prefix = Dataset(spec=dataset.spec, n=dataset.n, p=q, points=dataset.points[:q])
+        if next(labelings(prefix, margin), None) is None:
+            return SatProbe(count=0, sat=False, enumerated=True, method=chosen)
+        q *= 2
+    count = sum(1 for _ in islice(labelings(dataset, margin), limit))
     return SatProbe(
         count=count,
-        sat=sat,
-        # exhaustion proves UNSAT; an early-exit witness leaves the count partial
-        enumerated=chosen == METHOD_FULL_RANK or not (early_exit and sat),
-        margin_used=margin,
+        sat=count > 0,
+        # exhaustion proves UNSAT; stopping at the limit leaves the count partial
+        enumerated=limit is None or count < limit,
         method=chosen,
     )
 
@@ -279,7 +233,7 @@ def count_admissible_dichotomies(
     whole dataset; if a prefix of 8, 16, 32, ... multiplets is UNSAT the
     count is 0 without a scan of the whole dataset.
     """
-    return _probe(dataset, margin, p_enum_max, method, early_exit=False)
+    return _probe(dataset, margin, p_enum_max, method, limit=None)
 
 
 def admissible_exists(
@@ -294,7 +248,7 @@ def admissible_exists(
     by an UNSAT prefix of 8, 16, 32, ... multiplets or by the whole dataset;
     SAT outcomes stop at the witness, so the reported count is partial.
     """
-    return _probe(dataset, margin, p_enum_max, method, early_exit=True)
+    return _probe(dataset, margin, p_enum_max, method, limit=1)
 
 
 def random_classifier_probe(
@@ -337,7 +291,6 @@ def random_classifier_probe(
         count=len(seen),
         sat=len(seen) > 0,
         enumerated=False,
-        margin_used=margin,
         method=METHOD_RANDOM,
     )
 

@@ -1,11 +1,10 @@
 """Shared elementary numerics.
 
-Special functions delegate to the C library via :mod:`math` (both
-``lgamma`` and ``erfc`` are well inside the required tolerances there);
-what is hand-rolled here is the small amount of machinery the rest of the
-package needs with non-standard semantics: weighted log-sum-exp with an
-exact -inf zero, a semidefinite-tolerant Cholesky factorization, and
-reproducible counter-style random streams.
+The small amount of machinery the rest of the package needs with
+non-standard semantics: reproducible counter-style random streams,
+bisection on a bracket, a semidefinite-tolerant Cholesky factorization and
+Haar-random orthonormal frames.  Special functions come straight from
+:mod:`math`.
 
 Counts are kept in natural-log domain throughout the package; ``-inf``
 encodes an exact zero count.
@@ -15,14 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
 from .errors import (
     BracketError,
     DimensionError,
-    DomainError,
     NotPositiveSemidefiniteError,
     ValidationError,
 )
@@ -62,43 +60,6 @@ class Rng:
         """Fresh generator positioned at the start of this stream."""
         seq = np.random.SeedSequence(self.master_seed, spawn_key=self._key())
         return np.random.default_rng(seq)
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the Gamma function for x > 0."""
-    if not x > 0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
-def erfc(x: float) -> float:
-    """Complementary error function."""
-    return math.erfc(x)
-
-
-def log_sum_exp(terms: Iterable[tuple[float, float]]) -> float:
-    """log(sum_i w_i * exp(v_i)) for (log-value, weight) pairs.
-
-    Weights must be positive.  A log-value of -inf represents an exact zero
-    and the result is -inf iff every term is zero.  The sum is shifted by
-    the maximum log-value, so it is stable for any magnitudes.
-    """
-    terms = list(terms)
-    if not terms:
-        raise ValidationError("log_sum_exp requires at least one term")
-    for v, w in terms:
-        if math.isnan(v):
-            raise ValidationError("log_sum_exp received NaN log-value")
-        if not w > 0:
-            raise ValidationError(f"log_sum_exp weights must be positive, got {w}")
-    vmax = max(v for v, _ in terms)
-    if vmax == NEG_INF:
-        return NEG_INF
-    acc = 0.0
-    for v, w in terms:
-        if v != NEG_INF:
-            acc += w * math.exp(v - vmax)
-    return vmax + math.log(acc)
 
 
 def bisect_root(

@@ -23,8 +23,6 @@ so a shifted log-sum-exp loses nothing.  The VC entropy is H = log C.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass
 from math import comb
@@ -77,6 +75,8 @@ class CountTable:
 
     def log_count_at_load(self, n: int, alpha: float) -> float:
         """log C at real-valued p = alpha*n, linear in log between columns."""
+        if not 1 <= n <= self.n_max:
+            raise OutOfGridError(f"n={n} outside 1..{self.n_max}")
         p = alpha * n
         if p < 1 or p > self.p_max:
             raise OutOfGridError(f"p = alpha*n = {p} outside 1..{self.p_max}")
@@ -88,31 +88,6 @@ class CountTable:
         if frac == 0.0 or a == NEG_INF or b == NEG_INF:
             return float(a if frac < 1.0 else b)
         return float((1.0 - frac) * a + frac * b)
-
-    def to_csv(self, path, float_format: str = "%.17g") -> None:
-        """Rows n,p,alpha,log_count for the whole grid."""
-        with open(path, "w") as fh:
-            fh.write("n,p,alpha,log_count\n")
-            for n in range(1, self.n_max + 1):
-                for p in range(1, self.p_max + 1):
-                    alpha = p / n
-                    fh.write(
-                        "%d,%d,%s,%s\n"
-                        % (n, p, float_format % alpha, float_format % self.log_counts[n, p])
-                    )
-
-    def summary(self) -> dict:
-        """JSON-ready digest: coefficients, grid bounds, content checksum."""
-        payload = self.log_counts[1:, 1:].tobytes()
-        return {
-            "theta": list(self.theta.theta),
-            "n_max": self.n_max,
-            "p_max": self.p_max,
-            "checksum": hashlib.sha256(payload).hexdigest(),
-        }
-
-    def summary_json(self) -> str:
-        return json.dumps(self.summary(), sort_keys=True)
 
 
 def build_count_table(theta: ThetaCoefficients, n_max: int, p_max: int) -> CountTable:
@@ -144,11 +119,6 @@ def build_count_table(theta: ThetaCoefficients, n_max: int, p_max: int) -> Count
     return CountTable(theta=theta, n_max=n_max, p_max=p_max, log_counts=grid)
 
 
-def vc_entropy(table: CountTable, n: int, p: int) -> float:
-    """VC entropy H[n, p] = log C[n, p] (natural log; -inf for zero count)."""
-    return table.log_count(n, p)
-
-
 def crossing_load(
     theta: ThetaCoefficients,
     n1: int,
@@ -165,6 +135,8 @@ def crossing_load(
     which is the generic situation for Cover's k=1 recursion where the
     curves diverge monotonically.
     """
+    if n1 < 1 or n2 < 1:
+        raise ValidationError(f"dimensions must be >= 1, got n1={n1}, n2={n2}")
     if n1 == n2:
         raise ValidationError("crossing_load needs two distinct dimensions")
     lo, hi = alpha_window

@@ -135,11 +135,6 @@ def max_margin(points: np.ndarray, signs: np.ndarray) -> float:
     return value if value > TAU else 0.0
 
 
-def linearly_separable(points: np.ndarray, signs: np.ndarray) -> bool:
-    """True iff some direction w strictly separates (margin above TAU)."""
-    return max_margin(points, signs) > TAU
-
-
 def dedupe_directions(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Collapse rows that are exact duplicates up to sign.
 
@@ -164,11 +159,17 @@ def dedupe_directions(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     return np.array(reps), idx, sgn
 
 
+def numerical_rank(s: np.ndarray, shape: tuple[int, ...]) -> int:
+    """Rank of a matrix of the given shape from its descending singular
+    values ``s``: those above max(shape) * eps * s[0] count."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.sum(s > max(shape) * np.finfo(float).eps * s[0]))
+
+
 def _project_to_row_space(points: np.ndarray) -> tuple[np.ndarray, int]:
     u, s, _ = np.linalg.svd(points, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return points[:, :0], 0
-    r = int(np.sum(s > max(points.shape) * np.finfo(float).eps * s[0]))
+    r = numerical_rank(s, points.shape)
     return u[:, :r] * s[:r], r
 
 
@@ -249,27 +250,3 @@ def _null_directions(proj: np.ndarray, subsets: np.ndarray, r: int) -> np.ndarra
         if s.size >= r - 1 and s[-1] <= 1e-12 * max(s[0], 1.0):
             out[i] = 0.0  # rank-deficient subset: no unique edge
     return out
-
-
-def realizable_sign_patterns(points: np.ndarray) -> np.ndarray:
-    """All sign vectors realizable on the rows by some direction, deduplicated.
-
-    Cells of the central arrangement (strictly separable patterns).  Rows
-    coincident up to sign are collapsed and re-expanded, so degenerate
-    inputs (repeated or antipodal points) are handled exactly.
-    """
-    pts = np.asarray(points, dtype=float)
-    reps, idx, sgn = dedupe_directions(pts)
-    seen: set[bytes] = set()
-    rows: list[np.ndarray] = []
-    for block, verify in sign_pattern_blocks(reps):
-        full = block[:, idx] * sgn[None, :]
-        for row, needs_check in zip(full, verify):
-            key = row.tobytes()
-            if key in seen:
-                continue
-            if needs_check and max_margin(pts, row) <= TAU:
-                continue
-            seen.add(key)
-            rows.append(row)
-    return np.array(rows, dtype=np.int8)

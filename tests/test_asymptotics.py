@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from vclab.asymptotics import (
     AsymptoticForm,
     ScalingForm,
-    annealed_log_density_pairs,
     annealed_threshold_margin,
     annealed_threshold_pairs,
     asymptotic_log_count,
@@ -179,13 +178,6 @@ class TestAnnealedPairs:
     def test_divergence_at_one(self):
         with pytest.raises(DivergenceError):
             annealed_threshold_pairs(1.0)
-
-    def test_density_root_is_threshold(self):
-        for rho in (0.0, 0.3, 0.7):
-            star = annealed_threshold_pairs(rho).alpha_star
-            assert annealed_log_density_pairs(star, rho) == pytest.approx(0.0, abs=1e-12)
-            assert annealed_log_density_pairs(0.5 * star, rho) > 0
-            assert annealed_log_density_pairs(2.0 * star, rho) < 0
 
     def test_psi2_link(self):
         # the annealed formula evaluated through the agreement probability

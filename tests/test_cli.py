@@ -53,6 +53,13 @@ class TestTransition:
         code, out, _ = run(capsys, "transition", "--method", "combinatorial")
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["transition", "fss"])
+    def test_zero_theta1_is_domain_error(self, capsys, tmp_path, command):
+        extra = ["--out", str(tmp_path / "x.csv")] if command == "fss" else []
+        code, out, _ = run(capsys, command, "--theta0", "0.5", "--theta1", "0", *extra)
+        assert code == 1
+        assert json.loads(out)["error"] == "DomainError"
+
 
 class TestCount:
     def test_writes_curves_and_header(self, capsys, tmp_path):
@@ -95,6 +102,15 @@ class TestCount:
         assert code == 0
         rows = data_lines(out)
         assert all(r.startswith("montecarlo") for r in rows[1:])
+
+    def test_nonpositive_dimension_is_out_of_grid(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys, "count", "--k", "2", "--rho", "0.5", "--n=-3,5", "--alpha=-1,1",
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 1
+        assert json.loads(out)["error"] == "OutOfGridError"
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestMc:
@@ -211,6 +227,14 @@ class TestPhaseDiagram:
         )
         assert code == 1
 
+    def test_zero_crossing_dimension_is_validation_error(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys, "phase-diagram", "--rho", "0", "--layers", "crossing",
+            "--n-pairs", "0:3", "--out", str(tmp_path / "phase"),
+        )
+        assert code == 1
+        assert json.loads(out)["error"] == "ValidationError"
+
 
 class TestFss:
     def test_scores_and_file(self, capsys, tmp_path):
@@ -239,6 +263,13 @@ class TestFss:
         code, _, _ = run(capsys, "fss", "--out", str(tmp_path / "x.csv"))
         assert code == 1
 
+    def test_single_point_is_validation_error(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys, "fss", "--rho", "0", "--points", "1", "--out", str(tmp_path / "x.csv")
+        )
+        assert code == 1
+        assert json.loads(out)["error"] == "ValidationError"
+
 
 class TestPsi:
     def test_single_m(self, capsys):
@@ -261,6 +292,43 @@ class TestPsi:
         assert payload["stderr"][0] == 0.0
 
 
+class TestFlags:
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (["transition", "--rho", "0"], "--seed"),
+            (["transition", "--rho", "0"], "--threads"),
+            (["transition", "--rho", "0"], "--p-enum-max"),
+            (["fss", "--rho", "0"], "--seed"),
+            (["fss", "--rho", "0"], "--threads"),
+            (["fss", "--rho", "0"], "--p-enum-max"),
+            (["psi", "--k", "2", "--rho", "0.5", "--samples", "10"], "--threads"),
+            (["psi", "--k", "2", "--rho", "0.5", "--samples", "10"], "--p-enum-max"),
+        ],
+        ids=lambda value: value[0] if isinstance(value, list) else value.strip("-"),
+    )
+    def test_flag_a_command_does_not_read_is_refused(self, capsys, command, flag):
+        code, out, _ = run(capsys, *command, flag, "2")
+        assert code == 1
+        assert "unrecognized arguments" in json.loads(out)["message"]
+
+    @pytest.mark.parametrize(
+        "command, reason",
+        [
+            (["count", "--k", "1", "--n", "3", "--alpha", "nan"], "not a finite float"),
+            (["count", "--k", "1", "--n", "a", "--alpha", "1"], "expected int, got 'a'"),
+            (["phase-diagram", "--rho", "0", "--n-pairs", "4-3"], "expected int, got '4-3'"),
+        ],
+        ids=["alpha", "n", "n-pairs"],
+    )
+    def test_bad_flag_value_message_gives_the_reason(self, capsys, tmp_path, command, reason):
+        code, out, _ = run(capsys, *command, "--out", str(tmp_path / "x"))
+        assert code == 1
+        message = json.loads(out)["message"]
+        assert reason in message
+        assert "invalid" not in message and "_parse" not in message and "lambda" not in message
+
+
 class TestConfigFile:
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
@@ -271,6 +339,14 @@ class TestConfigFile:
         code, out, _ = run(capsys, "transition", "--config", str(cfg), "--rho", "0.8")
         assert code == 0
         assert json.loads(out)["alpha_star"] > base  # flag overrides file
+
+    def test_null_config_value_means_unset(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"theta0": 0.5, "theta1": None}))
+        code, out, _ = run(capsys, "transition", "--config", str(cfg))
+        assert code == 0
+        code, plain, _ = run(capsys, "transition", "--theta0", "0.5")
+        assert json.loads(out) == json.loads(plain)
 
     def test_bad_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "bad.json"

@@ -10,8 +10,8 @@ from vclab.errors import BudgetError, ValidationError
 from vclab.montecarlo import (
     Dataset,
     PhasePoint,
-    _cells_scan,
-    _sigma_scan,
+    _cells_labelings,
+    _sigma_labelings,
     admissible_exists,
     count_admissible_dichotomies,
     crossover_load,
@@ -42,7 +42,9 @@ class TestSampling:
     def test_shapes_and_constraints(self):
         ds = sample_dataset(PAIRS_HALF, 5, 7, Rng(0))
         assert ds.points.shape == (7, 2, 5)
-        ds.validate()
+        assert np.max(np.abs(np.linalg.norm(ds.points, axis=2) - 1.0)) <= 1e-9
+        grams = np.einsum("pan,pbn->pab", ds.points, ds.points)
+        assert np.max(np.abs(grams - PAIRS_HALF.gram)) <= 1e-9
 
     def test_unstructured_points_on_sphere(self):
         ds = sample_dataset(UNSTRUCTURED, 3, 5, Rng(1))
@@ -218,15 +220,15 @@ def scans(monkeypatch):
     """Record the number of multiplets of every backend scan."""
     seen = []
 
-    def recording(scan):
-        def wrapper(dataset, *args):
+    def recording(labelings):
+        def wrapper(dataset, margin):
             seen.append(dataset.p)
-            return scan(dataset, *args)
+            return labelings(dataset, margin)
 
         return wrapper
 
-    monkeypatch.setattr("vclab.montecarlo._cells_scan", recording(_cells_scan))
-    monkeypatch.setattr("vclab.montecarlo._sigma_scan", recording(_sigma_scan))
+    monkeypatch.setattr("vclab.montecarlo._cells_labelings", recording(_cells_labelings))
+    monkeypatch.setattr("vclab.montecarlo._sigma_labelings", recording(_sigma_labelings))
     return seen
 
 
@@ -247,10 +249,9 @@ class TestPrefixCertificate:
         for i, (spec, n, p, margin, method) in enumerate(cases):
             for t in range(3):
                 ds = sample_dataset(spec, n, p, Rng(61, (i, t)))
-                if method == "cells":
-                    count, sat = _cells_scan(ds, margin, False)
-                else:
-                    count, sat = _sigma_scan(ds, margin, 22, False)
+                labelings = _cells_labelings if method == "cells" else _sigma_labelings
+                count = len(list(labelings(ds, margin)))
+                sat = count > 0
                 exists = admissible_exists(ds, margin=margin)
                 full = count_admissible_dichotomies(ds, margin=margin)
                 assert exists.method == full.method == method

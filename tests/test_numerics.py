@@ -10,106 +10,15 @@ from hypothesis import strategies as st
 from vclab.errors import (
     BracketError,
     DimensionError,
-    DomainError,
     NotPositiveSemidefiniteError,
     ValidationError,
 )
 from vclab.numerics import (
-    NEG_INF,
     Rng,
     bisect_root,
     cholesky,
-    erfc,
-    log_gamma,
-    log_sum_exp,
     sample_orthonormal_frame,
 )
-
-
-class TestLogGamma:
-    def test_gamma_one_and_two(self):
-        assert log_gamma(1.0) == 0.0
-        assert log_gamma(2.0) == 0.0
-
-    def test_factorial_ten(self):
-        # independent oracle: 10! by integer multiplication
-        fact = 1
-        for i in range(2, 11):
-            fact *= i
-        assert log_gamma(11.0) == pytest.approx(math.log(fact), rel=1e-14)
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            log_gamma(0.0)
-        with pytest.raises(DomainError):
-            log_gamma(-3.5)
-
-    def test_recurrence_on_grid(self):
-        # ln Gamma(x+1) = ln Gamma(x) + ln x
-        for x in np.geomspace(1e-3, 1e8, 60):
-            lhs = log_gamma(x + 1.0)
-            rhs = log_gamma(x) + math.log(x)
-            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-
-
-class TestErfc:
-    def test_zero(self):
-        assert erfc(0.0) == 1.0
-
-    def test_large_argument_limit(self):
-        assert erfc(30.0) < 1e-300
-
-    def test_reference_value(self):
-        # high-precision series value of erfc(1)
-        assert erfc(1.0) == pytest.approx(0.15729920705028513, abs=1e-14)
-
-    def test_symmetry(self):
-        for x in (0.3, 1.7, 2.5):
-            assert erfc(-x) + erfc(x) == pytest.approx(2.0, abs=1e-14)
-
-
-class TestLogSumExp:
-    def test_two_equal_terms(self):
-        assert log_sum_exp([(0.0, 1.0), (0.0, 1.0)]) == pytest.approx(math.log(2.0))
-
-    def test_zero_count(self):
-        assert log_sum_exp([(NEG_INF, 1.0)]) == NEG_INF
-        assert log_sum_exp([(NEG_INF, 2.0), (NEG_INF, 0.5)]) == NEG_INF
-
-    def test_weighted(self):
-        value = log_sum_exp([(math.log(3.0), 0.5), (math.log(2.0), 1.0)])
-        assert value == pytest.approx(math.log(3.5), rel=1e-15)
-
-    def test_single_term_exact(self):
-        assert log_sum_exp([(1.2345, 1.0)]) == pytest.approx(1.2345, abs=0)
-
-    def test_rejects_bad_weight(self):
-        with pytest.raises(ValidationError):
-            log_sum_exp([(0.0, 0.0)])
-        with pytest.raises(ValidationError):
-            log_sum_exp([])
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(min_value=-700, max_value=700),
-                st.floats(min_value=1e-6, max_value=1e6),
-            ),
-            min_size=1,
-            max_size=12,
-        ),
-        st.randoms(use_true_random=False),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_permutation_invariance(self, terms, rnd):
-        shuffled = list(terms)
-        rnd.shuffle(shuffled)
-        assert log_sum_exp(shuffled) == pytest.approx(log_sum_exp(terms), rel=1e-12)
-
-    def test_huge_magnitudes(self):
-        assert log_sum_exp([(5000.0, 1.0), (5000.0, 1.0)]) == pytest.approx(
-            5000.0 + math.log(2.0)
-        )
 
 
 class TestBisect:

@@ -14,7 +14,6 @@ from vclab.recursion import (
     build_count_table,
     cover_count_exact,
     crossing_load,
-    vc_entropy,
 )
 from vclab.structure import StructureSpec, ThetaCoefficients, psi2, theta_coefficients
 
@@ -110,14 +109,17 @@ class TestBuildTable:
 class TestEntropyAccess:
     def test_vc_entropy_boundary(self):
         table = build_count_table(ORTHOGONAL_PAIRS, n_max=5, p_max=5)
-        assert vc_entropy(table, 3, 1) == pytest.approx(math.log(2.0))
+        assert table.log_count(3, 1) == pytest.approx(math.log(2.0))
 
     def test_out_of_grid(self):
         table = build_count_table(COVER, n_max=5, p_max=5)
         with pytest.raises(OutOfGridError):
-            vc_entropy(table, 6, 1)
+            table.log_count(6, 1)
         with pytest.raises(OutOfGridError):
             table.log_count_at_load(5, 2.0)
+        for n, alpha in ((-3, -1.0), (0, 2.0), (6, 0.5)):  # p = alpha*n on the grid
+            with pytest.raises(OutOfGridError):
+                table.log_count_at_load(n, alpha)
 
     def test_load_interpolation_matches_columns(self):
         table = build_count_table(ORTHOGONAL_PAIRS, n_max=10, p_max=30)
@@ -134,27 +136,6 @@ class TestEntropyAccess:
         assert 0 < peak < len(h) - 1
         assert h[peak] > h[0]
         assert h[-1] < h[0]
-
-
-class TestExports:
-    def test_csv_layout(self, tmp_path):
-        table = build_count_table(COVER, n_max=2, p_max=2)
-        path = tmp_path / "table.csv"
-        table.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "n,p,alpha,log_count"
-        assert len(lines) == 1 + 4
-        first = lines[1].split(",")
-        assert first[0] == "1" and first[1] == "1"
-        assert float(first[3]) == pytest.approx(math.log(2.0))
-
-    def test_summary_checksum_stable(self):
-        a = build_count_table(COVER, n_max=4, p_max=4).summary()
-        b = build_count_table(COVER, n_max=4, p_max=4).summary()
-        assert a == b
-        assert a["theta"] == [1.0, 1.0]
-        c = build_count_table(ORTHOGONAL_PAIRS, n_max=4, p_max=4).summary()
-        assert c["checksum"] != a["checksum"]
 
 
 class TestCrossing:
@@ -183,3 +164,8 @@ class TestCrossing:
     def test_same_dimension_rejected(self):
         with pytest.raises(ValidationError):
             crossing_load(COVER, 5, 5, (1.0, 2.0))
+
+    def test_nonpositive_dimension_rejected(self):
+        for n1, n2 in ((0, 3), (3, 0), (-2, 3)):
+            with pytest.raises(ValidationError):
+                crossing_load(ORTHOGONAL_PAIRS, n1, n2, (2.0, 8.0))

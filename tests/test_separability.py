@@ -6,20 +6,30 @@ import numpy as np
 import pytest
 
 from vclab.errors import ValidationError
+from vclab.montecarlo import Dataset, _cells_labelings
 from vclab.numerics import Rng
 from vclab.recursion import cover_count_exact
 from vclab.separability import (
     TAU,
     dedupe_directions,
-    linearly_separable,
     max_margin,
     min_norm_point,
-    realizable_sign_patterns,
 )
+from vclab.structure import StructureSpec
 
 TRIANGLE = np.array(
     [[1.0, 0.0], [-0.5, math.sqrt(3) / 2], [-0.5, -math.sqrt(3) / 2]]
 )
+
+
+def realizable_sign_patterns(points: np.ndarray) -> np.ndarray:
+    """Every sign vector some direction realizes on the rows: the cells of
+    the central arrangement, enumerated as the labelings of k=1 data."""
+    pts = np.asarray(points, dtype=float)
+    data = Dataset(
+        spec=StructureSpec.unstructured(), n=pts.shape[1], p=pts.shape[0], points=pts[:, None, :]
+    )
+    return np.array(list(_cells_labelings(data, 0.0)), dtype=np.int8)
 
 
 def direction_search_margin(points, signs, seed=0, coarse=200000, refine=80):
@@ -106,10 +116,10 @@ class TestMaxMargin:
 
 class TestLinearlySeparable:
     def test_triangle_split(self):
-        assert linearly_separable(TRIANGLE, [1, 1, -1])
+        assert max_margin(TRIANGLE, [1, 1, -1]) > TAU
 
     def test_triangle_uniform(self):
-        assert not linearly_separable(TRIANGLE, [1, 1, 1])
+        assert max_margin(TRIANGLE, [1, 1, 1]) <= TAU
 
     def test_few_points_always_separable(self):
         gen = Rng(4).generator()
@@ -118,7 +128,7 @@ class TestLinearlySeparable:
             pts /= np.linalg.norm(pts, axis=1, keepdims=True)
             for _ in range(5):
                 signs = gen.choice([-1.0, 1.0], size=n)
-                assert linearly_separable(pts, signs)
+                assert max_margin(pts, signs) > TAU
 
 
 class TestCellEnumeration:
