@@ -5,6 +5,15 @@ plus finite-size and Monte Carlo layers), ``transition`` (single critical
 load as JSON), ``mc`` (SAT-fraction / mean-count scans), ``fss``
 (finite-size-scaling collapse), ``psi`` (agreement-probability estimates).
 
+Every option is one row of `OPTIONS`, keyed by its config name: its flag,
+the kind of its value, the values it allows and its help text.  `COMMANDS`
+lists the options of each subcommand with their defaults.  The parser, the
+defaults, the conversion of flag and config-file values and the range
+checks are generated from these two tables, so ``--help`` shows every
+default and rule.  A config file may also carry keys a command does not
+take (and a full structure ``spec`` object); they are kept, and converted
+to their kind when they name an option.
+
 Outputs are flat CSV files with '#'-prefixed header comments carrying the
 tool version, the resolved configuration (JSON, less the worker count and
 output paths, which do not change the data), and the master seed, so any
@@ -23,9 +32,11 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
+from collections.abc import Callable
+from dataclasses import dataclass
 from functools import partial
 
-import numpy as np
 
 from . import __version__
 from .asymptotics import (
@@ -89,7 +100,6 @@ def _flag_type(parse):
     return convert
 
 
-@_flag_type
 def _parse_grid(text: str) -> list[float]:
     """Grid syntax: 'a,b,c' | 'lo:hi:step' | 'lo..hi' (unit step)."""
     text = text.strip()
@@ -110,12 +120,10 @@ def _parse_grid(text: str) -> list[float]:
     return [_number(float, v) for v in text.split(",") if v.strip()]
 
 
-@_flag_type
 def _parse_int_list(text: str) -> list[int]:
     return [_number(int, v) for v in text.split(",") if v.strip()]
 
 
-@_flag_type
 def _parse_pairs(text: str) -> list[tuple[int, ...]]:
     """Dimension pairs 'n1:n2,n1:n2'."""
     return [tuple(_number(int, v) for v in pair.split(":")) for pair in text.split(",")]
@@ -141,19 +149,18 @@ def _resolve_spec(cfg: dict) -> StructureSpec:
 _NOT_IN_HEADER = ("threads", "out", "plot_script")
 
 
-def _header_lines(cfg: dict) -> list[str]:
+def _write_csv(path: str, cfg: dict, columns: list[str], rows: list[tuple],
+               notes: tuple[str, ...] = ()) -> None:
+    """``notes`` are '#' lines that follow the version, config and seed."""
     kept = {key: value for key, value in cfg.items() if key not in _NOT_IN_HEADER}
-    blob = json.dumps(kept, sort_keys=True, default=str)
-    return [
+    header = [
         f"# vclab {__version__}",
-        f"# config = {blob}",
+        f"# config = {json.dumps(kept, sort_keys=True, default=str)}",
         f"# seed = {cfg.get('seed', 0)}",
+        *notes,
     ]
-
-
-def _write_csv(path: str, cfg: dict, columns: list[str], rows: list[tuple]) -> None:
     with open(path, "w") as fh:
-        for line in _header_lines(cfg):
+        for line in header:
             fh.write(line + "\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
@@ -186,55 +193,157 @@ def _pairs(value):
     return pairs
 
 
-def _string(value):
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {type(value).__name__}")
+def _exactly(cls, value):
+    if not isinstance(value, cls):
+        raise TypeError(f"expected {cls.__name__}, got {value!r}")
     return value
 
 
-# The one place config values (defaults, config file, flags) get their types.
-_CONFIG_TYPES = {
-    **{key: partial(_number, int) for key in (
-        "seed", "threads", "p_enum_max", "trials", "n", "mc_n", "m", "k",
-        "samples", "points", "num_weights")},
-    **{key: partial(_number, float) for key in (
-        "rho", "kappa", "theta0", "theta1", "alpha_star", "window", "beta")},
-    "alpha_grid": partial(_numbers, float),
-    "rho_grid": partial(_numbers, float),
-    "n_list": partial(_numbers, int),
-    "n_pairs": _pairs,
-    **{key: _string for key in ("out", "plot_script", "layers", "mode", "probe", "method")},
+@dataclass(frozen=True)
+class _Kind:
+    """How an option's value is read.  ``convert`` takes a config value or
+    flag text, ``parse`` the flag text where its syntax differs; a ``many``
+    value is a non-empty list whose elements each obey the option's rule."""
+
+    name: str
+    convert: Callable
+    parse: Callable | None = None
+    many: bool = False
+
+
+_INT = _Kind("INT", partial(_number, int))
+_FLOAT = _Kind("FLOAT", partial(_number, float))
+_TEXT = _Kind("TEXT", partial(_exactly, str))
+_SWITCH = _Kind("SWITCH", partial(_exactly, bool))  # its flag takes no value and sets it true
+_GRID = _Kind("GRID", partial(_numbers, float), _parse_grid, many=True)
+_INTS = _Kind("INTS", partial(_numbers, int), _parse_int_list, many=True)
+_PAIRS = _Kind("PAIRS", _pairs, _parse_pairs, many=True)
+
+
+_Rule = namedtuple("_Rule", "holds text")
+
+
+def _at_least(low: int) -> _Rule:
+    return _Rule(lambda x: x >= low, f">= {low}")
+
+
+def _one_of(*names: str) -> _Rule:
+    return _Rule(lambda x: x in names, "one of " + ", ".join(names))
+
+
+_LAYERS = ("combinatorial", "annealed", "crossing", "mc")
+
+
+def _layer_names(text: str) -> list[str]:
+    return [name.strip() for name in text.split(",") if name.strip()]
+
+
+@dataclass(frozen=True)
+class Option:
+    """One option: the ``flag`` that sets it, the ``kind`` of its value, the
+    ``rule`` its value (each element, for a list) must obey, and ``help``."""
+
+    flag: str
+    kind: _Kind
+    help: str
+    rule: _Rule | None = None
+
+    @property
+    def allowed(self) -> str:
+        if self.kind.many:
+            return "a non-empty list" + (f", each {self.rule.text}" if self.rule else "")
+        return self.rule.text if self.rule else ""
+
+    def describe(self, default) -> str:
+        parts = [self.help, self.allowed]
+        if default not in (None, []) and self.kind is not _SWITCH:
+            parts.append(f"default {_show(default)}")
+        return "; ".join(part for part in parts if part)
+
+    def convert(self, key: str, value):
+        try:
+            return self.kind.convert(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"config value {key}={value!r}: {exc}") from exc
+
+    def check(self, key: str, value) -> None:
+        items = value if self.kind.many else [value]
+        if not items or (self.rule and not all(self.rule.holds(x) for x in items)):
+            raise ValidationError(f"{key} ({self.flag}) must be {self.allowed}, got {value!r}")
+
+
+def _show(value) -> str:
+    """A default as it is written on the command line."""
+    if isinstance(value, list):
+        return ",".join(":".join(map(str, v)) if isinstance(v, tuple) else str(v) for v in value)
+    return str(value)
+
+
+OPTIONS: dict[str, Option] = {
+    "k": Option("--k", _INT, "multiplet size", _at_least(1)),
+    "rho": Option("--rho", _FLOAT, "overlap of the points of a multiplet"),
+    "rho_grid": Option("--rho", _GRID, "pair overlaps, in the syntax of --alpha",
+                       _Rule(lambda x: 0 <= x < 1, "inside [0, 1)")),
+    "kappa": Option("--kappa", _FLOAT, "margin"),
+    "theta0": Option("--theta0", _FLOAT, "recursion coefficient theta0, in place of --rho"),
+    "theta1": Option("--theta1", _FLOAT, "recursion coefficient theta1"),
+    "alpha_star": Option("--alpha-star", _FLOAT, "critical load; unset: the combinatorial one"),
+    "method": Option("--method", _TEXT, "analytic route", _one_of(
+        METHOD_COMBINATORIAL, METHOD_ANNEALED_PAIRS, METHOD_ANNEALED_MARGIN)),
+    "n": Option("--n", _INT, "dimension", _at_least(1)),
+    "n_list": Option("--n", _INTS, "comma list of dimensions"),
+    "alpha_grid": Option("--alpha", _GRID, "loads p/n: a,b,c or lo:hi:step or lo..hi"),
+    "layers": Option("--layers", _TEXT, "layers to compute", _Rule(
+        lambda x: bool(_layer_names(x)) and set(_layer_names(x)) <= set(_LAYERS),
+        "a comma list of " + ", ".join(_LAYERS))),
+    "n_pairs": Option("--n-pairs", _PAIRS, "crossing dimension pairs n1:n2"),
+    "mc_n": Option("--mc-n", _INT, "dimension of the sampled layer", _at_least(1)),
+    "mode": Option("--mode", _TEXT, "pairs at --rho or margins at --kappa",
+                   _one_of("pairs", "margin")),
+    "probe": Option("--probe", _TEXT, "SAT decision", _one_of("enumerate", "random-classifier")),
+    "num_weights": Option("--num-weights", _INT, "random weights per probe", _at_least(1)),
+    "with_counts": Option("--with-counts", _SWITCH, "also count each sampled dataset exactly"),
+    "trials": Option("--trials", _INT, "Monte Carlo trials per point (count: 0 = analytic only)",
+                     _at_least(0)),
+    "window": Option("--window", _FLOAT, "relative half-width of the load window",
+                     _Rule(lambda x: 0 < x < 1, "inside (0, 1)")),
+    "points": Option("--points", _INT, "grid points per curve", _at_least(2)),
+    "beta": Option("--beta", _FLOAT, "vertical rescaling exponent"),
+    "m": Option("--m", _INT, "estimate psi_m for this m only"),
+    "samples": Option("--samples", _INT, "Monte Carlo samples", _at_least(1)),
+    "out": Option("--out", _TEXT, "output CSV (phase-diagram: file stem)"),
+    "plot_script": Option("--plot-script", _TEXT, "gnuplot script to write"),
+    "seed": Option("--seed", _INT, "master seed", _at_least(0)),
+    "threads": Option("--threads", _INT, "worker processes for Monte Carlo trials", _at_least(1)),
+    "p_enum_max": Option("--p-enum-max", _INT, "sign-vector enumeration budget"),
 }
 
 
-def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """Precedence: command-line flags > config file > defaults."""
-    cfg = dict(defaults)
-    path = getattr(args, "config", None)
-    if path:
+def _merge_config(args: argparse.Namespace, options: dict) -> dict:
+    """Precedence: command-line flags > config file > defaults.  Every value
+    of a key in `OPTIONS` is converted to its kind; the command's own
+    ``options`` must also obey their rules."""
+    cfg = {key: value for key, value in options.items() if value is not None}
+    if args.config:
         try:
-            with open(path) as fh:
+            with open(args.config) as fh:
                 loaded = json.load(fh)
         except (OSError, ValueError) as exc:  # missing, unreadable or not JSON
-            raise ValidationError(f"config file {path}: {exc}") from exc
+            raise ValidationError(f"config file {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ValidationError("config file must contain a JSON object")
         for key, value in loaded.items():
             if value is not None:  # null means unset, as for an absent flag
                 cfg[key.replace("-", "_")] = value
-    for key, value in vars(args).items():
-        if key in ("command", "config", "func"):
-            continue
-        if value is not None:
-            cfg[key] = value
-    for key, convert in _CONFIG_TYPES.items():
-        if cfg.get(key) is not None:
-            try:
-                cfg[key] = convert(cfg[key])
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValidationError(f"config value {key}={cfg[key]!r}: {exc}") from exc
-    if "threads" in defaults and cfg["threads"] < 1:
-        raise ValidationError(f"threads must be an integer >= 1, got {cfg['threads']!r}")
+    for key in options:
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
+    for key, value in cfg.items():
+        if key in OPTIONS:
+            cfg[key] = OPTIONS[key].convert(key, value)
+    for key in options:
+        if key in cfg:
+            OPTIONS[key].check(key, cfg[key])
     return cfg
 
 
@@ -247,8 +356,6 @@ def cmd_count(cfg: dict) -> int:
     spec = _resolve_spec(cfg)
     n_list = cfg["n_list"]
     grid = cfg["alpha_grid"]
-    if not n_list or not grid:
-        raise ValidationError("count needs a dimension list and a load grid")
     rng = Rng(cfg["seed"])
     rows = []
     analytic = spec.k <= 2
@@ -264,7 +371,7 @@ def cmd_count(cfg: dict) -> int:
                 rows.append(
                     ("recursion", str(n), _f(alpha * n), _f(alpha), _f(value), _f(0.0))
                 )
-    trials = cfg.get("trials") or 0
+    trials = cfg["trials"]
     if trials:
         for i, n in enumerate(n_list):
             for j, alpha in enumerate(grid):
@@ -327,43 +434,33 @@ def cmd_transition(cfg: dict) -> int:
         if cfg.get("rho") is None:
             raise ValidationError("annealed pair method needs --rho")
         result = annealed_threshold_pairs(cfg["rho"])
-    elif method == METHOD_COMBINATORIAL:
-        if cfg.get("theta0") is not None:
-            result = transition_load(cfg["theta0"], cfg["theta1"])
-        elif cfg.get("rho") is not None:
-            result = transition_load(psi2(cfg["rho"]), 1.0)
-        else:
-            raise ValidationError("combinatorial method needs --rho or --theta0")
+    elif cfg.get("theta0") is not None:
+        result = transition_load(cfg["theta0"], cfg["theta1"])
+    elif cfg.get("rho") is not None:
+        result = transition_load(psi2(cfg["rho"]), 1.0)
     else:
-        raise ValidationError(f"unknown method {method!r}")
+        raise ValidationError("combinatorial method needs --rho or --theta0")
     print(json.dumps(result.to_json(), sort_keys=True))
     return 0
 
 
 def cmd_phase_diagram(cfg: dict) -> int:
     rho_grid = cfg["rho_grid"]
-    if not rho_grid or any(not 0 <= r < 1 for r in rho_grid):
-        raise ValidationError("phase diagram needs a rho grid inside [0, 1)")
-    layers = [layer.strip() for layer in cfg["layers"].split(",") if layer.strip()]
+    layers = _layer_names(cfg["layers"])
     stem = cfg["out"]
     rng = Rng(cfg["seed"])
-    written = []
-    if "combinatorial" in layers:
-        rows = []
-        for rho in rho_grid:
-            res = transition_load(psi2(rho), 1.0)
-            rows.append((_f(rho), _f(res.alpha_star), res.method, _f(res.residual)))
-        path = f"{stem}.combinatorial.csv"
-        _write_csv(path, cfg, ["rho", "alpha_star", "method", "residual"], rows)
-        written.append(path)
-    if "annealed" in layers:
-        rows = []
-        for rho in rho_grid:
-            res = annealed_threshold_pairs(rho)
-            rows.append((_f(rho), _f(res.alpha_star), res.method, _f(res.residual)))
-        path = f"{stem}.annealed.csv"
-        _write_csv(path, cfg, ["rho", "alpha_star", "method", "residual"], rows)
-        written.append(path)
+    thresholds = {
+        "combinatorial": lambda rho: transition_load(psi2(rho), 1.0),
+        "annealed": annealed_threshold_pairs,
+    }
+    for layer, threshold in thresholds.items():
+        if layer in layers:
+            rows = []
+            for rho in rho_grid:
+                res = threshold(rho)
+                rows.append((_f(rho), _f(res.alpha_star), res.method, _f(res.residual)))
+            columns = ["rho", "alpha_star", "method", "residual"]
+            _write_csv(f"{stem}.{layer}.csv", cfg, columns, rows)
     if "crossing" in layers:
         rows = []
         pairs = cfg["n_pairs"]
@@ -376,9 +473,7 @@ def cmd_phase_diagram(cfg: dict) -> int:
                 rows.append(
                     (_f(rho), str(n1), str(n2), _f(alpha), METHOD_CROSSING)
                 )
-        path = f"{stem}.crossing.csv"
-        _write_csv(path, cfg, ["rho", "n1", "n2", "alpha_cross", "method"], rows)
-        written.append(path)
+        _write_csv(f"{stem}.crossing.csv", cfg, ["rho", "n1", "n2", "alpha_cross", "method"], rows)
     if "mc" in layers:
         rows = []
         n = cfg["mc_n"]
@@ -406,15 +501,11 @@ def cmd_phase_diagram(cfg: dict) -> int:
                         _f(q.stderr),
                     )
                 )
-        path = f"{stem}.mc.csv"
         _write_csv(
-            path, cfg, ["rho", "alpha", "p", "trials", "sat_fraction", "stderr"], rows
+            f"{stem}.mc.csv", cfg, ["rho", "alpha", "p", "trials", "sat_fraction", "stderr"], rows
         )
-        written.append(path)
     if cfg.get("plot_script"):
         _write_text(cfg["plot_script"], _gnuplot_phase(stem, layers))
-    if not written:
-        raise ValidationError(f"no known layers among {layers}")
     return 0
 
 
@@ -446,12 +537,8 @@ def _gnuplot_phase(stem: str, layers: list[str]) -> str:
 def cmd_mc(cfg: dict) -> int:
     mode = cfg["mode"]
     trials = cfg["trials"]
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
     n = cfg["n"]
     grid = cfg["alpha_grid"]
-    if not grid:
-        raise ValidationError("mc needs a load grid")
     seed = cfg["seed"]
     rng = Rng(seed)
     if mode == "pairs":
@@ -460,14 +547,12 @@ def cmd_mc(cfg: dict) -> int:
         spec = StructureSpec.pairs(cfg["rho"])
         margin = 0.0
         knob = cfg["rho"]
-    elif mode == "margin":
-        if cfg.get("kappa") is None:
-            raise ValidationError("margin mode needs --kappa")
+    elif cfg.get("kappa") is None:
+        raise ValidationError("margin mode needs --kappa")
+    else:
         spec = StructureSpec.unstructured()
         margin = cfg["kappa"]
         knob = margin
-    else:
-        raise ValidationError(f"unknown mode {mode!r}")
     def _progress(point, done, total):
         print(
             f"[{done}/{total}] alpha={point.alpha:g} p={point.p} "
@@ -487,7 +572,7 @@ def cmd_mc(cfg: dict) -> int:
             probe=cfg["probe"],
             num_weights=cfg["num_weights"],
             threads=cfg["threads"],
-            with_counts=bool(cfg.get("with_counts")),
+            with_counts=cfg["with_counts"],
             progress=_progress,
         )
     except BudgetError as exc:
@@ -509,41 +594,15 @@ def cmd_mc(cfg: dict) -> int:
         )
     except ValidationError:
         pass  # the grid does not bracket the half-SAT level
-    rows = []
-    for q in points:
-        rows.append(
-            (
-                mode,
-                _f(knob),
-                str(n),
-                str(q.p),
-                _f(q.alpha),
-                str(q.trials),
-                _f(q.fraction),
-                _f(q.stderr),
-                _f(q.mean_count) if q.mean_count is not None else "",
-                _f(q.count_stderr) if q.count_stderr is not None else "",
-                str(seed),
-            )
-        )
-    _write_csv(
-        cfg["out"],
-        cfg,
-        [
-            "mode",
-            "rho_or_kappa",
-            "n",
-            "p",
-            "alpha",
-            "trials",
-            "sat_fraction",
-            "stderr",
-            "mean_count",
-            "count_stderr",
-            "seed",
-        ],
-        rows,
-    )
+    rows = [
+        (mode, _f(knob), str(n), str(q.p), _f(q.alpha), str(q.trials), _f(q.fraction),
+         _f(q.stderr), _f(q.mean_count) if q.mean_count is not None else "",
+         _f(q.count_stderr) if q.count_stderr is not None else "", str(seed))
+        for q in points
+    ]
+    columns = ["mode", "rho_or_kappa", "n", "p", "alpha", "trials", "sat_fraction", "stderr",
+               "mean_count", "count_stderr", "seed"]
+    _write_csv(cfg["out"], cfg, columns, rows)
     return 0
 
 
@@ -556,16 +615,12 @@ def cmd_fss(cfg: dict) -> int:
         raise ValidationError("fss needs --rho or --theta0")
     theta1 = cfg["theta1"]
     n_list = cfg["n_list"]
-    if not n_list:
-        raise ValidationError("fss needs a dimension list")
     if cfg.get("alpha_star") is not None:
         alpha_star = cfg["alpha_star"]
     else:
         alpha_star = transition_load(theta0, theta1).alpha_star
     rel = cfg["window"]
     npts = cfg["points"]
-    if npts < 2:
-        raise ValidationError(f"fss needs at least 2 points per curve, got {npts}")
     beta = cfg["beta"]
     curve = []
     for n in n_list:
@@ -578,18 +633,13 @@ def cmd_fss(cfg: dict) -> int:
         (str(n), _f(alpha), _f(logc), _f(x), _f(logy))
         for (n, alpha, logc), (_, x, logy) in zip(curve, result.points)
     ]
-    cfg_out = dict(cfg)
-    cfg_out["alpha_star"] = alpha_star
     out = cfg["out"]
-    with open(out, "w") as fh:
-        for line in _header_lines(cfg_out):
-            fh.write(line + "\n")
-        fh.write(f"# collapse_score = {_f(result.collapse_score)}\n")
-        fh.write(f"# control_score_beta0 = {_f(control.collapse_score)}\n")
-        fh.write("n,alpha,log_count,x,log_y\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-    print(f"wrote {out}", file=sys.stderr)
+    scores = (
+        f"# collapse_score = {_f(result.collapse_score)}",
+        f"# control_score_beta0 = {_f(control.collapse_score)}",
+    )
+    _write_csv(out, {**cfg, "alpha_star": alpha_star},
+               ["n", "alpha", "log_count", "x", "log_y"], rows, scores)
     print(
         json.dumps(
             {
@@ -646,130 +696,75 @@ def cmd_psi(cfg: dict) -> int:
 
 
 # ----------------------------------------------------------------------
-# parser
+# commands and parser
 # ----------------------------------------------------------------------
 
 
-_COMMON_FLAGS = {
-    "seed": "master seed (default 0)",
-    "threads": "worker processes for Monte Carlo trials",
-    "p_enum_max": "sign-vector enumeration budget (default 22)",
+@dataclass(frozen=True)
+class _Command:
+    """A subcommand: its function, its one-line help, and the keys of the
+    options it takes with their defaults (None: unset)."""
+
+    run: Callable[[dict], int]
+    help: str
+    options: dict
+
+
+_ALL_CORES = os.cpu_count() or 1
+
+COMMANDS: dict[str, _Command] = {
+    "count": _Command(cmd_count, "entropy curves from the recursion and/or Monte Carlo", {
+        "k": None, "rho": None, "n_list": [], "alpha_grid": [], "trials": 0,
+        "out": "count.csv", "plot_script": None,
+        "seed": 0, "threads": 1, "p_enum_max": 22}),
+    "transition": _Command(cmd_transition, "one critical load as JSON", {
+        "method": METHOD_COMBINATORIAL, "rho": None, "kappa": None,
+        "theta0": None, "theta1": 1.0}),
+    "phase-diagram": _Command(
+        cmd_phase_diagram, "threshold lines, crossings, Monte Carlo layer", {
+            "rho_grid": [], "layers": ",".join(_LAYERS), "n_pairs": [(40, 20), (6, 3)],
+            "mc_n": 3, "alpha_grid": [1, 2, 3, 4, 5, 6, 8, 10], "trials": 200,
+            "out": "phase", "plot_script": None,
+            "seed": 0, "threads": _ALL_CORES, "p_enum_max": 22}),
+    "mc": _Command(cmd_mc, "SAT-fraction scan over loads", {
+        "mode": "pairs", "rho": None, "kappa": None, "n": 3, "alpha_grid": [],
+        "trials": 100, "probe": "enumerate", "num_weights": 10000, "with_counts": False,
+        "out": "mc.csv", "seed": 0, "threads": _ALL_CORES, "p_enum_max": 22}),
+    "fss": _Command(cmd_fss, "finite-size-scaling collapse of asymptotic curves", {
+        "rho": None, "theta0": None, "theta1": 1.0, "alpha_star": None,
+        "n_list": [50, 100, 200], "window": 0.1, "points": 21, "beta": 0.5,
+        "out": "fss.csv", "plot_script": None}),
+    "psi": _Command(cmd_psi, "agreement-probability estimates", {
+        "k": None, "rho": None, "m": None, "n": 50, "samples": 100000, "seed": 0}),
 }
-
-
-def _add_common(sub: argparse.ArgumentParser, *flags: str) -> None:
-    """``--config`` and the named ones of `_COMMON_FLAGS`."""
-    sub.add_argument("--config", help="JSON config file; flags override its values")
-    for name in flags:
-        sub.add_argument("--" + name.replace("_", "-"), dest=name, type=int,
-                         help=_COMMON_FLAGS[name])
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="vclab", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"vclab {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    c = subs.add_parser("count", help="entropy curves from the recursion and/or Monte Carlo")
-    c.add_argument("--k", type=int)
-    c.add_argument("--rho", type=float)
-    c.add_argument("--n", dest="n_list", type=_parse_int_list, help="comma list of dimensions")
-    c.add_argument("--alpha", dest="alpha_grid", type=_parse_grid, help="load grid")
-    c.add_argument("--trials", type=int, help="Monte Carlo trials per point (0 = analytic only)")
-    c.add_argument("--out")
-    c.add_argument("--plot-script", dest="plot_script")
-    _add_common(c, "seed", "threads", "p_enum_max")
-    c.set_defaults(func=cmd_count)
-
-    t = subs.add_parser("transition", help="one critical load as JSON")
-    t.add_argument("--method", choices=[METHOD_COMBINATORIAL, METHOD_ANNEALED_PAIRS,
-                                        METHOD_ANNEALED_MARGIN])
-    t.add_argument("--rho", type=float)
-    t.add_argument("--kappa", type=float)
-    t.add_argument("--theta0", type=float)
-    t.add_argument("--theta1", type=float)
-    _add_common(t)
-    t.set_defaults(func=cmd_transition)
-
-    d = subs.add_parser("phase-diagram", help="threshold lines, crossings, Monte Carlo layer")
-    d.add_argument("--rho", dest="rho_grid", type=_parse_grid, help="overlap grid in [0,1)")
-    d.add_argument("--layers", help="comma subset of combinatorial,annealed,crossing,mc")
-    d.add_argument("--n-pairs", dest="n_pairs", type=_parse_pairs,
-                   help="crossing dimension pairs, e.g. 40:20,6:3")
-    d.add_argument("--mc-n", dest="mc_n", type=int, help="dimension of the sampled layer")
-    d.add_argument("--alpha", dest="alpha_grid", type=_parse_grid, help="load grid of the sampled layer")
-    d.add_argument("--trials", type=int)
-    d.add_argument("--out")
-    d.add_argument("--plot-script", dest="plot_script")
-    _add_common(d, "seed", "threads", "p_enum_max")
-    d.set_defaults(func=cmd_phase_diagram)
-
-    m = subs.add_parser("mc", help="SAT-fraction scan over loads")
-    m.add_argument("--mode", choices=["pairs", "margin"])
-    m.add_argument("--rho", type=float)
-    m.add_argument("--kappa", type=float)
-    m.add_argument("--n", type=int)
-    m.add_argument("--alpha", dest="alpha_grid", type=_parse_grid)
-    m.add_argument("--trials", type=int)
-    m.add_argument("--probe", choices=["enumerate", "random-classifier"])
-    m.add_argument("--num-weights", dest="num_weights", type=int)
-    m.add_argument("--with-counts", dest="with_counts", action="store_const", const=True)
-    m.add_argument("--out")
-    _add_common(m, "seed", "threads", "p_enum_max")
-    m.set_defaults(func=cmd_mc)
-
-    f = subs.add_parser("fss", help="finite-size-scaling collapse of asymptotic curves")
-    f.add_argument("--rho", type=float)
-    f.add_argument("--theta0", type=float)
-    f.add_argument("--theta1", type=float)
-    f.add_argument("--alpha-star", dest="alpha_star", type=float)
-    f.add_argument("--n", dest="n_list", type=_parse_int_list)
-    f.add_argument("--window", type=float, help="relative half-width of the load window")
-    f.add_argument("--points", type=int, help="grid points per curve")
-    f.add_argument("--beta", type=float, help="vertical rescaling exponent (default 0.5)")
-    f.add_argument("--out")
-    f.add_argument("--plot-script", dest="plot_script")
-    _add_common(f)
-    f.set_defaults(func=cmd_fss)
-
-    p = subs.add_parser("psi", help="agreement-probability estimates")
-    p.add_argument("--k", type=int)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--samples", type=int)
-    _add_common(p, "seed")
-    p.set_defaults(func=cmd_psi)
-
+    for name, command in COMMANDS.items():
+        sub = subs.add_parser(name, help=command.help)
+        sub.add_argument("--config", help="JSON config file; flags override its values")
+        for key, default in command.options.items():
+            opt = OPTIONS[key]
+            if opt.kind is _SWITCH:
+                how = {"action": "store_const", "const": True}
+            else:
+                how = {"type": _flag_type(opt.kind.parse or opt.kind.convert),
+                       "metavar": opt.kind.name}
+            sub.add_argument(opt.flag, dest=key, help=opt.describe(default), **how)
     return parser
-
-
-_DEFAULTS: dict[str, dict] = {
-    "count": {"seed": 0, "threads": 1, "p_enum_max": 22, "trials": 0,
-              "out": "count.csv", "n_list": [], "alpha_grid": []},
-    "transition": {"method": METHOD_COMBINATORIAL, "theta1": 1.0},
-    "phase-diagram": {"seed": 0, "threads": os.cpu_count() or 1, "p_enum_max": 22,
-                      "layers": "combinatorial,annealed,crossing,mc",
-                      "n_pairs": [(40, 20), (6, 3)], "mc_n": 3,
-                      "alpha_grid": [1, 2, 3, 4, 5, 6, 8, 10], "trials": 200,
-                      "rho_grid": [], "out": "phase"},
-    "mc": {"seed": 0, "threads": os.cpu_count() or 1, "p_enum_max": 22,
-           "mode": "pairs", "probe": "enumerate", "num_weights": 10000,
-           "trials": 100, "n": 3, "alpha_grid": [], "out": "mc.csv",
-           "with_counts": False},
-    "fss": {"n_list": [50, 100, 200], "theta1": 1.0, "window": 0.1, "points": 21,
-            "beta": 0.5, "out": "fss.csv"},
-    "psi": {"seed": 0, "n": 50, "samples": 100000},
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _merge_config(args, _DEFAULTS[args.command])
+        command = COMMANDS[args.command]
+        cfg = _merge_config(args, command.options)
         _echo_config(cfg)
-        return args.func(cfg)
+        return command.run(cfg)
     except BudgetError as exc:
         _report_error(exc)
         return 3

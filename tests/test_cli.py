@@ -2,11 +2,12 @@
 
 import json
 import math
+import re
 
 import pytest
 
 from vclab import __version__
-from vclab.cli import main
+from vclab.cli import COMMANDS, OPTIONS, main
 
 
 def run(capsys, *argv):
@@ -235,6 +236,17 @@ class TestPhaseDiagram:
         assert code == 1
         assert json.loads(out)["error"] == "ValidationError"
 
+    def test_unknown_layer_is_refused(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys, "phase-diagram", "--rho", "0", "--layers", "crosing,mc",
+            "--out", str(tmp_path / "phase"),
+        )
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["error"] == "ValidationError"
+        assert "layers" in payload["message"]
+        assert not list(tmp_path.iterdir())
+
 
 class TestFss:
     def test_scores_and_file(self, capsys, tmp_path):
@@ -270,6 +282,17 @@ class TestFss:
         assert code == 1
         assert json.loads(out)["error"] == "ValidationError"
 
+    @pytest.mark.parametrize("window", ["0", "-0.5", "1"])
+    def test_window_outside_unit_interval_is_validation_error(self, capsys, tmp_path, window):
+        code, out, _ = run(
+            capsys, "fss", "--rho", "0", "--window", window, "--out", str(tmp_path / "x.csv")
+        )
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["error"] == "ValidationError"
+        assert "window" in payload["message"]
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestPsi:
     def test_single_m(self, capsys):
@@ -290,6 +313,17 @@ class TestPsi:
         payload = json.loads(out)
         assert payload["m"] == [2, 3]
         assert payload["stderr"][0] == 0.0
+
+    @pytest.mark.parametrize("k", ["2", "3"])
+    @pytest.mark.parametrize("flag", ["--n", "--samples"])
+    def test_nonpositive_size_is_refused_for_every_k(self, capsys, k, flag):
+        code, out, _ = run(
+            capsys, "psi", "--k", k, "--rho", "0.5", "--n", "10", "--samples", "10", flag, "0",
+        )
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["error"] == "ValidationError"
+        assert flag in payload["message"]
 
 
 class TestFlags:
@@ -386,6 +420,19 @@ class TestConfigFile:
         assert "# seed = 7" in out.read_text()
         assert len(data_lines(out)) == 1 + 2
 
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1])
+    def test_with_counts_must_be_boolean(self, capsys, tmp_path, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"with_counts": value}))
+        code, out, _ = run(
+            capsys, "mc", "--config", str(cfg), "--rho", "0.5", "--alpha", "1", "--trials", "2",
+            "--threads", "1", "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["error"] == "ValidationError"
+        assert "with_counts" in payload["message"]
+
     def test_missing_config_file(self, capsys, tmp_path):
         code, out, _ = run(
             capsys, "count", "--config", str(tmp_path / "absent.json"),
@@ -393,3 +440,56 @@ class TestConfigFile:
         )
         assert code == 1
         assert json.loads(out)["error"] == "ValidationError"
+
+
+# A short valid run of every command that takes --seed.
+SEEDED = {
+    "count": ["--k", "1", "--n", "3", "--alpha", "1"],
+    "phase-diagram": ["--rho", "0", "--layers", "annealed"],
+    "mc": ["--rho", "0.5", "--alpha", "1", "--trials", "2", "--threads", "1"],
+    "psi": ["--k", "2", "--rho", "0.5", "--samples", "10"],
+}
+TABLE = [(name, key) for name in sorted(COMMANDS) for key in COMMANDS[name].options]
+# A config value of the wrong type for each kind of option.
+WRONG = {"TEXT": 5, "SWITCH": "false"}
+
+
+class TestOptionTable:
+    def test_every_seeded_command_is_listed(self):
+        assert set(SEEDED) == {name for name, c in COMMANDS.items() if "seed" in c.options}
+
+    @pytest.mark.parametrize("command", sorted(SEEDED))
+    def test_negative_seed_is_validation_error(self, capsys, tmp_path, command):
+        argv = [command, *SEEDED[command]]
+        if "out" in COMMANDS[command].options:
+            argv += ["--out", str(tmp_path / "x")]
+        assert run(capsys, *argv, "--seed", "1")[0] == 0
+        for path in tmp_path.iterdir():
+            path.unlink()
+        code, out, _ = run(capsys, *argv, "--seed", "-1")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["error"] == "ValidationError"
+        assert "seed" in payload["message"]
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command, key", TABLE)
+    def test_wrong_config_type_names_the_key(self, capsys, tmp_path, command, key):
+        value = WRONG.get(OPTIONS[key].kind.name, "x")
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, out, _ = run(capsys, command, "--config", str(cfg))
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["error"] == "ValidationError"
+        assert f"config value {key}=" in payload["message"]
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_help_lists_the_table_flags(self, capsys, command):
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--help"])
+        assert stop.value.code == 0
+        text = capsys.readouterr().out
+        listed = re.findall(r"^  (?:-h, )?(--[\w-]+)", text, re.M)
+        expected = ["--help", "--config"] + [OPTIONS[k].flag for k in COMMANDS[command].options]
+        assert sorted(listed) == sorted(expected)
