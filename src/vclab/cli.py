@@ -10,9 +10,10 @@ the kind of its value, the values it allows and its help text.  `COMMANDS`
 lists the options of each subcommand with their defaults.  The parser, the
 defaults, the conversion of flag and config-file values and the range
 checks are generated from these two tables, so ``--help`` shows every
-default and rule.  A config file may also carry keys a command does not
-take (and a full structure ``spec`` object); they are kept, and converted
-to their kind when they name an option.
+default and rule.  A config file may also carry options another command
+takes (and a full structure ``spec`` object); they are kept and converted
+to their kind.  Any other key is refused, so a misspelt option never passes
+silently.
 
 Outputs are flat CSV files with '#'-prefixed header comments carrying the
 tool version, the resolved configuration (JSON, less the worker count and
@@ -62,11 +63,9 @@ from .numerics import NEG_INF, Rng
 from .recursion import build_count_table, crossing_load
 from .structure import StructureSpec, psi2, psi_m_estimate, psi_vector, theta_coefficients
 
-FMT = "%.17g"
-
 
 def _f(x: float) -> str:
-    return FMT % x
+    return "%.17g" % x
 
 
 class _Parser(argparse.ArgumentParser):
@@ -172,10 +171,6 @@ def _write_text(path: str, content: str) -> None:
     with open(path, "w") as fh:
         fh.write(content)
     print(f"wrote {path}", file=sys.stderr)
-
-
-def _echo_config(cfg: dict) -> None:
-    print("# config: " + json.dumps(cfg, sort_keys=True, default=str), file=sys.stderr)
 
 
 def _numbers(kind, value):
@@ -333,8 +328,11 @@ def _merge_config(args: argparse.Namespace, options: dict) -> dict:
         if not isinstance(loaded, dict):
             raise ValidationError("config file must contain a JSON object")
         for key, value in loaded.items():
+            name = key.replace("-", "_")
+            if name not in OPTIONS and name != "spec":
+                raise ValidationError(f"config file {args.config}: unknown key {key!r}")
             if value is not None:  # null means unset, as for an absent flag
-                cfg[key.replace("-", "_")] = value
+                cfg[name] = value
     for key in options:
         if getattr(args, key) is not None:
             cfg[key] = getattr(args, key)
@@ -763,7 +761,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         command = COMMANDS[args.command]
         cfg = _merge_config(args, command.options)
-        _echo_config(cfg)
+        print("# config: " + json.dumps(cfg, sort_keys=True, default=str), file=sys.stderr)
         return command.run(cfg)
     except BudgetError as exc:
         _report_error(exc)

@@ -10,16 +10,21 @@ it:
 * ``full-rank``: kp independent points realize every labeling; the count
   is 2^p with no search (margin 0 only).
 * ``cells``: read the labelings off the cells of the central hyperplane
-  arrangement of the kp points (exact for effective rank <= 3 at any p;
-  this is what makes deep-UNSAT scans at n = 3 affordable, where 2^p
-  enumeration is hopeless).  With a positive margin the admissible cells
-  are re-checked against the margin.
+  arrangement of the kp points, exact at any effective rank r within the
+  cell budget; the scan grows like (kp)^(r-1) 2^r, which makes deep-UNSAT
+  scans at n = 3 affordable where 2^p enumeration is hopeless.  With a
+  positive margin the admissible cells are re-checked against the margin.
 * ``sigma``: try each sign vector sigma in {+/-1}^p with sigma_1 = +1 with
   `max_margin` and yield sigma and -sigma together (the margin is invariant
   under the flip, so one solve decides both).  Budgeted by ``p_enum_max``.
 * `random_classifier_probe`: sample random directions and read off the
   labelings they induce; a lower bound on the count and a SAT witness
   finder, with no UNSAT certificate.
+
+At margin 0 the automatic choice runs sigma only within ``p_enum_max``, and
+only where its 2^(p-1) solves cost less than the cells (`cell_scan_cost`,
+one solve counted as `MARGIN_SOLVE_COST` cells); with a margin, cells decide
+rank <= 3 and sigma the rest.
 
 Prefix certificate: realizability is monotone in the multiplet set at every
 margin (a labeling of the whole dataset restricts to one of any subset), so
@@ -52,6 +57,7 @@ from .errors import BudgetError, ValidationError
 from .numerics import Rng
 from .separability import (
     TAU,
+    cell_scan_cost,
     dedupe_directions,
     max_margin,
     numerical_rank,
@@ -66,7 +72,13 @@ METHOD_RANDOM = "random-classifier"
 
 DEFAULT_P_ENUM_MAX = 22
 
+# Cost of one `max_margin` solve in candidate patterns of a cell scan
+# (`cell_scan_cost`).  Measured on a 2-core Xeon, counting pairs at n = 6-8,
+# p = 8-10: a solve took 0.43-0.56 ms, a candidate 0.55-0.67 us, ratio 710-850.
+MARGIN_SOLVE_COST = 800
+
 _COUNT = "count"  # trial probe tag: full exact count instead of a SAT decision
+_WEIGHT_BATCH = 16384  # random directions drawn at once by `random_classifier_probe`
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,15 +147,17 @@ def _pick_method(dataset: Dataset, margin: float, p_enum_max: int, method: str) 
         rank = numerical_rank(np.linalg.svd(flat, compute_uv=False), flat.shape)
         if margin == 0.0 and rank == flat.shape[0]:
             return METHOD_FULL_RANK
-        chosen = METHOD_CELLS if rank <= 3 else METHOD_SIGMA
+        if margin == 0.0:  # the cheaper backend; cells past their budget cost inf
+            sigma_cost = MARGIN_SOLVE_COST * 2 ** (dataset.p - 1)
+            sigma = dataset.p <= p_enum_max and sigma_cost < cell_scan_cost(flat.shape[0], rank)
+        else:  # every candidate cell costs a solve, so candidates do not measure cells
+            sigma = rank > 3
+        chosen = METHOD_SIGMA if sigma else METHOD_CELLS
     if chosen == METHOD_SIGMA and dataset.p > p_enum_max:
-        message = f"p={dataset.p} exceeds the sign-vector enumeration budget {p_enum_max}"
-        if method == "auto":
-            message += (
-                f" and the effective rank {rank} is too high for cell enumeration; "
-                "use random_classifier_probe or raise p_enum_max"
-            )
-        raise BudgetError(message)
+        raise BudgetError(
+            f"p={dataset.p} exceeds the sign-vector enumeration budget {p_enum_max}; "
+            "use random_classifier_probe or raise p_enum_max"
+        )
     return chosen
 
 
@@ -227,11 +241,10 @@ def count_admissible_dichotomies(
     """Exact number of admissible labelings realizable above the margin.
 
     Backend selection (``method="auto"``): full-rank shortcut when the kp
-    points are linearly independent, cell enumeration when the points span
-    at most 3 dimensions, otherwise sign-vector enumeration within
-    ``p_enum_max`` (`BudgetError` beyond it).  The backend is chosen on the
-    whole dataset; if a prefix of 8, 16, 32, ... multiplets is UNSAT the
-    count is 0 without a scan of the whole dataset.
+    points are linearly independent, otherwise cells or sigma as the module
+    docstring says; `BudgetError` past the chosen backend's budget.  The
+    backend is chosen on the whole dataset; if a prefix of 8, 16, 32, ...
+    multiplets is UNSAT the count is 0 without a scan of the whole dataset.
     """
     return _probe(dataset, margin, p_enum_max, method, limit=None)
 
@@ -256,7 +269,6 @@ def random_classifier_probe(
     num_weights: int,
     rng: Rng | np.random.Generator,
     margin: float = 0.0,
-    chunk: int = 16384,
 ) -> SatProbe:
     """Lower-bound the count by sampling random unit classifiers.
 
@@ -274,7 +286,7 @@ def random_classifier_probe(
     seen: set[bytes] = set()
     remaining = num_weights
     while remaining > 0:
-        b = min(chunk, remaining)
+        b = min(_WEIGHT_BATCH, remaining)
         remaining -= b
         w = gen.standard_normal((b, dataset.n))
         w /= np.linalg.norm(w, axis=1, keepdims=True)

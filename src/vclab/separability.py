@@ -26,7 +26,7 @@ Both engines are cross-validated against each other in the test suite.
 from __future__ import annotations
 
 import math
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Iterator
 
 import numpy as np
@@ -167,15 +167,15 @@ def numerical_rank(s: np.ndarray, shape: tuple[int, ...]) -> int:
     return int(np.sum(s > max(shape) * np.finfo(float).eps * s[0]))
 
 
-def _project_to_row_space(points: np.ndarray) -> tuple[np.ndarray, int]:
-    u, s, _ = np.linalg.svd(points, full_matrices=False)
-    r = numerical_rank(s, points.shape)
-    return u[:, :r] * s[:r], r
+def cell_scan_cost(m: int, r: int) -> float:
+    """Candidate patterns of a full cell scan of m hyperplanes in rank r:
+    2^(r-1) around each edge spanned by r-1 of them.  Past the cell budget
+    of 5e7, where `sign_pattern_blocks` refuses to scan, the cost is inf."""
+    cost = math.comb(m, r - 1) * 2 ** (r - 1)
+    return cost if cost <= 5e7 else math.inf
 
 
-def sign_pattern_blocks(
-    points: np.ndarray, chunk: int = 4096
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def sign_pattern_blocks(points: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield blocks of candidate realizable sign patterns of the rows.
 
     Each yielded pair is (block, verify) where block is an int8 array of
@@ -184,34 +184,33 @@ def sign_pattern_blocks(
     an explicit margin check before being trusted.  Rows must be distinct
     as hyperplanes (see `dedupe_directions`); patterns may repeat across
     blocks, callers deduplicate.  Together the non-flagged rows cover every
-    cell of the central arrangement exactly once or more.
+    cell of the central arrangement exactly once or more, at any rank;
+    `BudgetError` past the cell budget (see `cell_scan_cost`).
     """
     pts = np.asarray(points, dtype=float)
     m = pts.shape[0]
     if m == 0:
         raise ValidationError("need at least one point")
-    proj, r = _project_to_row_space(pts)
+    u, s, _ = np.linalg.svd(pts, full_matrices=False)
+    r = numerical_rank(s, pts.shape)
     if r == 0:
         raise ValidationError("all points are zero")
-    if r == 1:
-        s = np.sign(proj[:, 0]).astype(np.int8)
-        block = np.stack([s, -s])
-        yield block, np.zeros(2, dtype=bool)
-        return
+    proj = u[:, :r] * s[:r]  # coordinates in the row space
     n_fix = r - 1
-    n_subsets = math.comb(m, n_fix)
-    if n_subsets * (2 ** n_fix) > 5e7:
+    if cell_scan_cost(m, r) == math.inf:
         raise BudgetError(
-            f"cell enumeration over {n_subsets} edge subsets in rank {r} is too large"
+            f"cell enumeration over {math.comb(m, n_fix)} edge subsets in rank {r} is too large"
         )
     combos = np.array(list(product((1, -1), repeat=n_fix)), dtype=np.int8)
+    # no batch holds more candidate rows than 4096 subsets at rank 3
+    batch_size = max(1, min(4096, 2**15 >> r))
     subset_iter = combinations(range(m), n_fix)
     while True:
-        batch = list(_take(subset_iter, chunk))
+        batch = list(islice(subset_iter, batch_size))
         if not batch:
             return
         sub = np.array(batch, dtype=np.intp)  # (b, r-1)
-        dirs = _null_directions(proj, sub, r)  # (b, r)
+        dirs = _null_directions(proj, sub)  # (b, r)
         norms = np.linalg.norm(dirs, axis=1)
         good = norms > 1e-12  # near-parallel generators span no edge
         if not good.any():
@@ -224,29 +223,19 @@ def sign_pattern_blocks(
             near_zero = np.abs(dots) <= DEGENERACY_TOL
             np.put_along_axis(near_zero, sub, False, axis=1)
             degenerate = near_zero.any(axis=1)
-            b = sub.shape[0]
             for combo in combos:
                 block = base.copy()
                 np.put_along_axis(block, sub, np.broadcast_to(combo, sub.shape), axis=1)
                 yield block, degenerate.copy()
 
 
-def _take(iterator, count):
-    for _, item in zip(range(count), iterator):
-        yield item
-
-
-def _null_directions(proj: np.ndarray, subsets: np.ndarray, r: int) -> np.ndarray:
-    """Unit spanning vector of the common null space of each (r-1)-subset."""
-    if r == 2:
-        rows = proj[subsets[:, 0]]
-        return np.stack([-rows[:, 1], rows[:, 0]], axis=1)
-    if r == 3:
-        return np.cross(proj[subsets[:, 0]], proj[subsets[:, 1]])
-    out = np.empty((subsets.shape[0], r))
-    for i, sub in enumerate(subsets):
-        _, s, vt = np.linalg.svd(proj[sub], full_matrices=True)
-        out[i] = vt[-1]
-        if s.size >= r - 1 and s[-1] <= 1e-12 * max(s[0], 1.0):
-            out[i] = 0.0  # rank-deficient subset: no unique edge
-    return out
+def _null_directions(proj: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+    """Generalised cross product of each (r-1)-subset of the rank-r rows:
+    the w with w . x = det([rows; x]), so w_j = (-1)^(r-1+j) times the
+    minor with column j deleted (r=2: the rotated row; r=3: the cross
+    product; r=1: the unit vector).  It spans the common null space, and
+    vanishes on a rank-deficient subset."""
+    r = proj.shape[1]
+    others = np.nonzero(~np.eye(r, dtype=bool))[1].reshape(r, r - 1)  # row j: columns != j
+    minors = np.moveaxis(proj[subsets][:, :, others], 2, 1)  # (b, r, r-1, r-1)
+    return (-1.0) ** (r - 1 + np.arange(r)) * np.linalg.det(minors)

@@ -173,8 +173,8 @@ class TestMc:
 
     def test_budget_exit_code_and_hint(self, capsys, tmp_path):
         code, out, _ = run(
-            capsys, "mc", "--mode", "pairs", "--rho", "0.5", "--n", "5",
-            "--alpha", "5", "--trials", "2", "--out", str(tmp_path / "x.csv"),
+            capsys, "mc", "--mode", "pairs", "--rho", "0.5", "--n", "10",
+            "--alpha", "2.4", "--trials", "2", "--out", str(tmp_path / "x.csv"),
         )
         assert code == 3
         assert "random-classifier" in json.loads(out)["message"]
@@ -432,6 +432,25 @@ class TestConfigFile:
         payload = json.loads(out)
         assert payload["error"] == "ValidationError"
         assert "with_counts" in payload["message"]
+
+    @pytest.mark.parametrize("key", ["trails", "num-wieghts"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["mc", "--rho", "0.5", "--alpha", "1", "--trials", "2", "--threads", "1"],
+            ["count", "--k", "1", "--n", "3", "--alpha", "1"],
+        ],
+    )
+    def test_misspelt_key_is_refused(self, capsys, tmp_path, command, key):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: 5}))
+        out_csv = tmp_path / "x.csv"
+        code, out, _ = run(capsys, *command, "--config", str(cfg), "--out", str(out_csv))
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["error"] == "ValidationError"
+        assert key in payload["message"]
+        assert not out_csv.exists()
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, out, _ = run(

@@ -8,9 +8,11 @@ import pytest
 
 from vclab.errors import BudgetError, ValidationError
 from vclab.montecarlo import (
+    DEFAULT_P_ENUM_MAX,
     Dataset,
     PhasePoint,
     _cells_labelings,
+    _pick_method,
     _sigma_labelings,
     admissible_exists,
     count_admissible_dichotomies,
@@ -94,20 +96,35 @@ class TestCounting:
             (StructureSpec.pairs(-0.4), 2, 4),
             (StructureSpec.equicorrelated(3, 0.2), 3, 3),
         ]
-        for i, (spec, n, p) in enumerate(cases):
-            for t in range(6):
-                ds = sample_dataset(spec, n, p, Rng(10, (i, t)))
-                a = count_admissible_dichotomies(ds, method="cells").count
-                b = count_admissible_dichotomies(ds, method="sigma").count
-                assert a == b
+        cases += [(PAIRS_HALF, n, p) for n in (4, 5, 6) for p in (6, 8, 10)]
+        datasets = [
+            sample_dataset(spec, n, p, Rng(10, (i, t)))
+            for i, (spec, n, p) in enumerate(cases)
+            for t in range(6)
+        ]
+        # degenerate sets of rank 4 and 5: a duplicate point, an antipodal
+        # pair, points confined to a 4-dimensional subspace of R^5
+        gen = Rng(10, 99).generator()
+        for t in range(4):
+            for n in (4, 5):
+                pts = sample_dataset(UNSTRUCTURED, n, 8, Rng(10, (n, t))).flat
+                datasets.append(points_dataset(np.vstack([pts, pts[t]])))
+                datasets.append(points_dataset(np.vstack([pts, -pts[t]])))
+            frame, _ = np.linalg.qr(gen.standard_normal((5, 4)))
+            datasets.append(points_dataset(gen.standard_normal((9, 4)) @ frame.T))
+        for ds in datasets:
+            a = count_admissible_dichotomies(ds, method="cells").count
+            b = count_admissible_dichotomies(ds, method="sigma").count
+            assert a == b
 
     def test_backends_agree_with_margin(self):
         rng = Rng(11)
-        for t in range(8):
-            ds = sample_dataset(UNSTRUCTURED, 3, 5, rng.substream(t))
-            a = count_admissible_dichotomies(ds, margin=0.3, method="cells").count
-            b = count_admissible_dichotomies(ds, margin=0.3, method="sigma").count
-            assert a == b
+        for n, p in ((3, 5), (4, 7), (5, 8)):
+            for t in range(8):
+                ds = sample_dataset(UNSTRUCTURED, n, p, rng.substream(t))
+                a = count_admissible_dichotomies(ds, margin=0.3, method="cells").count
+                b = count_admissible_dichotomies(ds, margin=0.3, method="sigma").count
+                assert a == b
 
     def test_counts_even_when_enumerated(self):
         rng = Rng(12)
@@ -161,13 +178,29 @@ class TestCounting:
         )
 
     def test_budget_error(self):
-        ds = sample_dataset(PAIRS_HALF, 5, 23, Rng(18))
+        # past p_enum_max: the q=8 prefix is SAT, the q=16 one exceeds the cell budget
+        ds = sample_dataset(PAIRS_HALF, 10, 24, Rng(18))
         with pytest.raises(BudgetError):
             count_admissible_dichotomies(ds)
         with pytest.raises(BudgetError):
             count_admissible_dichotomies(
                 sample_dataset(PAIRS_HALF, 5, 6, Rng(18)), method="sigma", p_enum_max=4
             )
+
+    @pytest.mark.parametrize(
+        "spec, n, p, margin, method",
+        [(PAIRS_HALF, 3, p, 0.0, "cells") for p in (2, 9, 81)]
+        + [(UNSTRUCTURED, 3, 8, 0.5, "cells")]
+        + [(PAIRS_HALF, 5, p, 0.0, "cells") for p in (6, 12, 25)]
+        + [
+            (PAIRS_HALF, 8, 10, 0.0, "sigma"),  # sigma is cheaper
+            (PAIRS_HALF, 7, 20, 0.0, "sigma"),  # cells exceed their budget
+            (UNSTRUCTURED, 5, 8, 0.5, "sigma"),  # rank > 3 at a positive margin
+        ],
+    )
+    def test_auto_backend_choice(self, spec, n, p, margin, method):
+        ds = sample_dataset(spec, n, p, Rng(20, (n, p)))
+        assert _pick_method(ds, margin, DEFAULT_P_ENUM_MAX, "auto") == method
 
     def test_margin_requires_nonnegative(self):
         ds = sample_dataset(UNSTRUCTURED, 3, 2, Rng(19))
@@ -208,6 +241,12 @@ class TestExistence:
             )
 
 
+def points_dataset(points: np.ndarray) -> Dataset:
+    """k=1 data made of the given rows."""
+    p, n = points.shape
+    return Dataset(spec=UNSTRUCTURED, n=n, p=p, points=points[:, None, :])
+
+
 def antipodal_pairs(n: int, p: int, seed: int) -> Dataset:
     """Pairs at overlap -1: no pair fits on one side, so every prefix is UNSAT."""
     ds = sample_dataset(UNSTRUCTURED, n, p, Rng(seed))
@@ -242,9 +281,8 @@ class TestPrefixCertificate:
             for p in (6, 9, 17, 30)
         ]
         cases += [(UNSTRUCTURED, 3, p, 0.5, "cells") for p in (9, 12, 17)]
-        cases += [
-            (StructureSpec.pairs(rho), 4, p, 0.0, "sigma") for rho in (0.0, 0.5) for p in (9, 10)
-        ]
+        cases += [(PAIRS_HALF, 8, 10, 0.0, "sigma")]
+        cases += [(UNSTRUCTURED, 4, p, 0.5, "sigma") for p in (9, 10)]
         past_first_prefix = Counter()
         for i, (spec, n, p, margin, method) in enumerate(cases):
             for t in range(3):
@@ -262,7 +300,7 @@ class TestPrefixCertificate:
         # both outcomes of both backends reach the prefix loop
         assert len(past_first_prefix) == 4 and min(past_first_prefix.values()) >= 2
 
-    @pytest.mark.parametrize("n, method", [(3, "cells"), (4, "sigma")])
+    @pytest.mark.parametrize("n, method", [(3, "cells"), (10, "sigma")])
     def test_unsat_prefix_decides_the_dataset(self, scans, n, method):
         ds = antipodal_pairs(n, 20, 62)
         for probe in (admissible_exists(ds), count_admissible_dichotomies(ds)):
@@ -279,9 +317,10 @@ class TestPrefixCertificate:
         # a forced sigma scan beyond its budget raises although q=8 is UNSAT
         with pytest.raises(BudgetError):
             admissible_exists(antipodal_pairs(3, 12, 64), method="sigma", p_enum_max=10)
-        # rank > 3 past p_enum_max has no exact backend, whatever a prefix says
+        # past p_enum_max a cell scan beyond its budget raises once no prefix
+        # decides the dataset (q=8 is SAT here)
         with pytest.raises(BudgetError):
-            admissible_exists(antipodal_pairs(4, 24, 65))
+            admissible_exists(sample_dataset(PAIRS_HALF, 9, 24, Rng(65)))
 
 
 class TestRandomClassifierProbe:
@@ -504,7 +543,7 @@ class TestPool:
 
     def test_worker_error_cancels_queued_trials(self, pools):
         with pytest.raises(BudgetError):
-            sat_fraction_scan(PAIRS_HALF, 5, [1, 5], 2, Rng(60), threads=2)
+            sat_fraction_scan(PAIRS_HALF, 10, [1, 2.4], 2, Rng(60), threads=2)
         assert [pool.shutdowns for pool in pools] == [[True]]
 
 

@@ -189,10 +189,11 @@ class TestCellEnumeration:
     def test_rank_four_edge_method(self):
         # the generic-subset construction also works beyond rank 3
         gen = Rng(9).generator()
-        pts = gen.standard_normal((6, 4))
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        cells = realizable_sign_patterns(pts)
-        assert len(cells) == cover_count_exact(4, 6)
+        for n, p in ((4, 6), (5, 8)):
+            pts = gen.standard_normal((p, n))
+            pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+            cells = realizable_sign_patterns(pts)
+            assert len(cells) == cover_count_exact(n, p)
 
 
 class TestDedupe:
