@@ -19,8 +19,9 @@ structure-dependent log theta_0 penalty, and is the larger root of
 Annealed averages of the label-integrated solution volume give closed-form
 lower-bound thresholds for the pair ensemble and for margin classification
 of unstructured data.  Near the critical load the count obeys a scaling
-form n^{-beta/nu} F(alpha_hat * n^{1/nu}) with beta = 1/2 and nu = 1, which
-`fss_rescale` uses to collapse finite-n curves.
+form n^{-beta/nu} F(alpha_hat * n^{1/nu}) with beta = 1/2 and nu = 1, that
+is n^{-beta} F(alpha_hat * n), which `fss_rescale` uses to collapse finite-n
+curves.
 """
 
 from __future__ import annotations
@@ -151,19 +152,16 @@ def _transition_fn(theta0: float, theta1: float):
     return f
 
 
-def transition_load(
-    theta0: float, theta1: float = 1.0, root: str = "larger"
-) -> TransitionResult:
+def transition_load(theta0: float, theta1: float = 1.0) -> TransitionResult:
     """Critical load where the asymptotic entropy is stationary in n.
 
     Solves S(alpha) + (alpha-1)log(theta_0) + log(theta_1) = 0.  The
     derivative log(1 + 1/alpha) + log(theta_0) vanishes at
     alpha_peak = theta_0/(1 - theta_0) and the function decreases beyond it,
     so bracketing [alpha_peak, hi] with hi doubled until the sign flips is
-    guaranteed to isolate the larger root, which is the critical load.  The
-    smaller root (bracket (0, alpha_peak]) exists only when
-    theta_1 < theta_0 and is available via ``root="smaller"``; it is never
-    the critical load.
+    guaranteed to isolate the larger root, which is the critical load.  (A
+    smaller root below alpha_peak exists when theta_1 < theta_0; it is never
+    the critical load.)
 
     Raises `NoTransitionError` for theta_0 = 1 (the unstructured limit,
     where the critical load diverges) and when the function never becomes
@@ -173,8 +171,6 @@ def transition_load(
         raise DomainError(f"theta0 must lie in (0, 1], got {theta0}")
     if theta1 <= 0:
         raise DomainError(f"theta1 must be positive, got {theta1}")
-    if root not in ("larger", "smaller"):
-        raise ValidationError(f"root must be 'larger' or 'smaller', got {root!r}")
     if theta0 == 1.0:
         raise NoTransitionError(
             "theta0 = 1: entropy grows at every load, no finite critical point"
@@ -185,26 +181,12 @@ def transition_load(
         raise NoTransitionError(
             f"no positive entropy window: peak value {f(alpha_peak):.3e} <= 0"
         )
-    if root == "smaller":
-        lo = alpha_peak
-        flo = f(lo)
-        while True:
-            lo *= 0.5
-            if lo < 1e-300:
-                raise NoTransitionError(
-                    "no smaller root: the function stays positive down to alpha = 0"
-                )
-            if f(lo) < 0.0:
-                break
-        bracket = (lo, alpha_peak)
-    else:
-        hi = max(2.0 * alpha_peak, 1.0)
-        while f(hi) > 0.0:
-            hi *= 2.0
-            if hi > 1e12:
-                raise NoTransitionError("larger root not found below alpha = 1e12")
-        bracket = (alpha_peak, hi)
-    alpha_star = bisect_root(f, bracket[0], bracket[1], tol=1e-12)
+    hi = max(2.0 * alpha_peak, 1.0)
+    while f(hi) > 0.0:
+        hi *= 2.0
+        if hi > 1e12:
+            raise NoTransitionError("larger root not found below alpha = 1e12")
+    alpha_star = bisect_root(f, alpha_peak, hi, tol=1e-12)
     # bisection stopped at bracket width <= 1e-12, so the root is enclosed here
     return TransitionResult(
         alpha_star=alpha_star,
@@ -260,31 +242,29 @@ def annealed_threshold_margin(kappa: float) -> TransitionResult:
 
 @dataclass(frozen=True)
 class ScalingForm:
-    """Critical rescaling x = alpha_hat * n^(1/nu), log y = (beta/nu) log n + log C,
-    with the reduced load alpha_hat = (alpha - alpha_star)/alpha_star.
+    """Critical rescaling x = alpha_hat * n, log y = beta log n + log C, with
+    the reduced load alpha_hat = (alpha - alpha_star)/alpha_star.
 
-    The exponents default to the critical values beta = 1/2, nu = 1 of this
-    transition; beta = 0 turns the vertical rescaling off (control curve).
+    The horizontal scale n^(1/nu) takes this transition's nu = 1; beta
+    defaults to its critical value 1/2, and beta = 0 turns the vertical
+    rescaling off (control curve).
     """
 
     alpha_star: float
     beta: float = 0.5
-    nu: float = 1.0
 
     def __post_init__(self):
         if not self.alpha_star > 0:
             raise ValidationError("alpha_star must be positive")
-        if self.nu <= 0:
-            raise ValidationError("nu must be positive")
 
     def reduced_load(self, alpha: float) -> float:
         return (alpha - self.alpha_star) / self.alpha_star
 
     def x(self, alpha: float, n: int) -> float:
-        return self.reduced_load(alpha) * n ** (1.0 / self.nu)
+        return self.reduced_load(alpha) * n
 
     def log_y(self, log_count: float, n: int) -> float:
-        return (self.beta / self.nu) * math.log(n) + log_count
+        return self.beta * math.log(n) + log_count
 
 
 @dataclass(frozen=True)
@@ -296,10 +276,7 @@ class FssResult:
 
 
 def fss_rescale(
-    curve: list[tuple[int, float, float]],
-    alpha_star: float,
-    beta: float = 0.5,
-    nu: float = 1.0,
+    curve: list[tuple[int, float, float]], alpha_star: float, beta: float = 0.5
 ) -> FssResult:
     """Apply the critical rescaling to (n, alpha, log_count) points.
 
@@ -310,7 +287,7 @@ def fss_rescale(
     """
     if not curve:
         raise ValidationError("fss_rescale needs at least one curve point")
-    form = ScalingForm(alpha_star=alpha_star, beta=beta, nu=nu)
+    form = ScalingForm(alpha_star=alpha_star, beta=beta)
     for _, _, log_count in curve:
         if not math.isfinite(log_count):
             raise ValidationError("fss_rescale requires finite log counts")

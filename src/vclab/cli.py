@@ -310,7 +310,6 @@ OPTIONS: dict[str, Option] = {
     "plot_script": Option("--plot-script", _TEXT, "gnuplot script to write"),
     "seed": Option("--seed", _INT, "master seed", _at_least(0)),
     "threads": Option("--threads", _INT, "worker processes for Monte Carlo trials", _at_least(1)),
-    "p_enum_max": Option("--p-enum-max", _INT, "sign-vector enumeration budget"),
 }
 
 
@@ -377,13 +376,7 @@ def cmd_count(cfg: dict) -> int:
                 if p < 1:
                     continue
                 mean, err = estimate_mean_count(
-                    spec,
-                    n,
-                    p,
-                    trials,
-                    rng.substream(i, j),
-                    p_enum_max=cfg["p_enum_max"],
-                    threads=cfg["threads"],
+                    spec, n, p, trials, rng.substream(i, j), threads=cfg["threads"]
                 )
                 logc = math.log(mean) if mean > 0 else NEG_INF
                 log_err = err / mean if mean > 0 else 0.0
@@ -399,14 +392,14 @@ def cmd_count(cfg: dict) -> int:
     return 0
 
 
+def _gnuplot(settings: list[str], parts: list[str]) -> str:
+    """A gnuplot script: comma-separated data, the ``settings`` lines, then
+    one plot of the ``parts``, held on screen."""
+    plot = ", \\\n".join(parts)
+    return "\n".join(["set datafile separator ','", *settings, "plot \\", plot, "pause -1"]) + "\n"
+
+
 def _gnuplot_count(csv_path: str, n_list: list[int]) -> str:
-    lines = [
-        "set datafile separator ','",
-        "set xlabel 'load alpha = p/n'",
-        "set ylabel 'VC entropy log C'",
-        "set key left bottom",
-        "plot \\",
-    ]
     parts = []
     for n in n_list:
         parts.append(
@@ -417,9 +410,9 @@ def _gnuplot_count(csv_path: str, n_list: list[int]) -> str:
             f"  '{csv_path}' using 4:($2=={n} && stringcolumn(1) eq 'montecarlo' ? $5:1/0) "
             f"with points title 'montecarlo n={n}'"
         )
-    lines.append(", \\\n".join(parts))
-    lines.append("pause -1")
-    return "\n".join(lines) + "\n"
+    settings = ["set xlabel 'load alpha = p/n'", "set ylabel 'VC entropy log C'",
+                "set key left bottom"]
+    return _gnuplot(settings, parts)
 
 
 def cmd_transition(cfg: dict) -> int:
@@ -480,13 +473,7 @@ def cmd_phase_diagram(cfg: dict) -> int:
         for i, rho in enumerate(rho_grid):
             spec = StructureSpec.pairs(rho)
             points = sat_fraction_scan(
-                spec,
-                n,
-                grid,
-                trials,
-                rng.substream(i),
-                p_enum_max=cfg["p_enum_max"],
-                threads=cfg["threads"],
+                spec, n, grid, trials, rng.substream(i), threads=cfg["threads"]
             )
             for q in points:
                 rows.append(
@@ -508,12 +495,6 @@ def cmd_phase_diagram(cfg: dict) -> int:
 
 
 def _gnuplot_phase(stem: str, layers: list[str]) -> str:
-    lines = [
-        "set datafile separator ','",
-        "set xlabel 'pair overlap rho'",
-        "set ylabel 'critical load'",
-        "set key left top",
-    ]
     parts = []
     if "combinatorial" in layers:
         parts.append(f"  '{stem}.combinatorial.csv' using 1:2 with lines dt 2 title 'combinatorial'")
@@ -526,10 +507,8 @@ def _gnuplot_phase(stem: str, layers: list[str]) -> str:
             f"  '{stem}.mc.csv' using 1:2:($5 > 0.5 ? 1 : 2) with points pt 5 lc variable "
             "title 'sampled SAT(1)/UNSAT(2)'"
         )
-    lines.append("plot \\")
-    lines.append(", \\\n".join(parts))
-    lines.append("pause -1")
-    return "\n".join(lines) + "\n"
+    settings = ["set xlabel 'pair overlap rho'", "set ylabel 'critical load'", "set key left top"]
+    return _gnuplot(settings, parts)
 
 
 def cmd_mc(cfg: dict) -> int:
@@ -566,7 +545,6 @@ def cmd_mc(cfg: dict) -> int:
             trials,
             rng,
             margin=margin,
-            p_enum_max=cfg["p_enum_max"],
             probe=cfg["probe"],
             num_weights=cfg["num_weights"],
             threads=cfg["threads"],
@@ -654,19 +632,11 @@ def cmd_fss(cfg: dict) -> int:
 
 
 def _gnuplot_fss(csv_path: str, n_list: list[int]) -> str:
-    lines = [
-        "set datafile separator ','",
-        "set xlabel 'rescaled load'",
-        "set ylabel 'rescaled log count'",
-        "plot \\",
-    ]
     parts = [
         f"  '{csv_path}' using 4:($1=={n} ? $5:1/0) with linespoints title 'n={n}'"
         for n in n_list
     ]
-    lines.append(", \\\n".join(parts))
-    lines.append("pause -1")
-    return "\n".join(lines) + "\n"
+    return _gnuplot(["set xlabel 'rescaled load'", "set ylabel 'rescaled log count'"], parts)
 
 
 def cmd_psi(cfg: dict) -> int:
@@ -714,7 +684,7 @@ COMMANDS: dict[str, _Command] = {
     "count": _Command(cmd_count, "entropy curves from the recursion and/or Monte Carlo", {
         "k": None, "rho": None, "n_list": [], "alpha_grid": [], "trials": 0,
         "out": "count.csv", "plot_script": None,
-        "seed": 0, "threads": 1, "p_enum_max": 22}),
+        "seed": 0, "threads": 1}),
     "transition": _Command(cmd_transition, "one critical load as JSON", {
         "method": METHOD_COMBINATORIAL, "rho": None, "kappa": None,
         "theta0": None, "theta1": 1.0}),
@@ -723,11 +693,11 @@ COMMANDS: dict[str, _Command] = {
             "rho_grid": [], "layers": ",".join(_LAYERS), "n_pairs": [(40, 20), (6, 3)],
             "mc_n": 3, "alpha_grid": [1, 2, 3, 4, 5, 6, 8, 10], "trials": 200,
             "out": "phase", "plot_script": None,
-            "seed": 0, "threads": _ALL_CORES, "p_enum_max": 22}),
+            "seed": 0, "threads": _ALL_CORES}),
     "mc": _Command(cmd_mc, "SAT-fraction scan over loads", {
         "mode": "pairs", "rho": None, "kappa": None, "n": 3, "alpha_grid": [],
         "trials": 100, "probe": "enumerate", "num_weights": 10000, "with_counts": False,
-        "out": "mc.csv", "seed": 0, "threads": _ALL_CORES, "p_enum_max": 22}),
+        "out": "mc.csv", "seed": 0, "threads": _ALL_CORES}),
     "fss": _Command(cmd_fss, "finite-size-scaling collapse of asymptotic curves", {
         "rho": None, "theta0": None, "theta1": 1.0, "alpha_star": None,
         "n_list": [50, 100, 200], "window": 0.1, "points": 21, "beta": 0.5,

@@ -16,15 +16,17 @@ it:
   positive margin the admissible cells are re-checked against the margin.
 * ``sigma``: try each sign vector sigma in {+/-1}^p with sigma_1 = +1 with
   `max_margin` and yield sigma and -sigma together (the margin is invariant
-  under the flip, so one solve decides both).  Budgeted by ``p_enum_max``.
+  under the flip, so one solve decides both).  Refused past p =
+  `SIGMA_MAX_P`.
 * `random_classifier_probe`: sample random directions and read off the
   labelings they induce; a lower bound on the count and a SAT witness
   finder, with no UNSAT certificate.
 
-At margin 0 the automatic choice runs sigma only within ``p_enum_max``, and
-only where its 2^(p-1) solves cost less than the cells (`cell_scan_cost`,
-one solve counted as `MARGIN_SOLVE_COST` cells); with a margin, cells decide
-rank <= 3 and sigma the rest.
+The data alone picks the backend.  At margin 0 sigma runs only up to
+p = `SIGMA_MAX_P`, and only where its 2^(p-1) solves cost less than the
+cells (`cell_scan_cost` of the distinct hyperplanes, one solve counted as
+`MARGIN_SOLVE_COST` cells); with a margin, cells decide rank <= 3 and sigma
+the rest.
 
 Prefix certificate: realizability is monotone in the multiplet set at every
 margin (a labeling of the whole dataset restricts to one of any subset), so
@@ -70,7 +72,9 @@ METHOD_CELLS = "cells"
 METHOD_SIGMA = "sigma"
 METHOD_RANDOM = "random-classifier"
 
-DEFAULT_P_ENUM_MAX = 22
+# Largest p the sigma backend enumerates: its 2^(p-1) solves take 15-20 min
+# at p = 22 (0.43-0.56 ms per solve, see below).
+SIGMA_MAX_P = 22
 
 # Cost of one `max_margin` solve in candidate patterns of a cell scan
 # (`cell_scan_cost`).  Measured on a 2-core Xeon, counting pairs at n = 6-8,
@@ -140,25 +144,30 @@ def _signed_flat(dataset: Dataset, labels: np.ndarray) -> np.ndarray:
     return np.repeat(np.asarray(labels, dtype=float), dataset.spec.k)
 
 
-def _pick_method(dataset: Dataset, margin: float, p_enum_max: int, method: str) -> str:
-    chosen = method
-    if method == "auto":
-        flat = dataset.flat
-        rank = numerical_rank(np.linalg.svd(flat, compute_uv=False), flat.shape)
-        if margin == 0.0 and rank == flat.shape[0]:
+def _pick_method(dataset: Dataset, margin: float) -> str:
+    """The exact backend for this dataset, from its rank, its size and the
+    margin; `BudgetError` where that is sigma past `SIGMA_MAX_P`."""
+    flat = dataset.flat
+    rank = numerical_rank(np.linalg.svd(flat, compute_uv=False), flat.shape)
+    if margin == 0.0:
+        if rank == flat.shape[0]:
             return METHOD_FULL_RANK
-        if margin == 0.0:  # the cheaper backend; cells past their budget cost inf
-            sigma_cost = MARGIN_SOLVE_COST * 2 ** (dataset.p - 1)
-            sigma = dataset.p <= p_enum_max and sigma_cost < cell_scan_cost(flat.shape[0], rank)
-        else:  # every candidate cell costs a solve, so candidates do not measure cells
-            sigma = rank > 3
-        chosen = METHOD_SIGMA if sigma else METHOD_CELLS
-    if chosen == METHOD_SIGMA and dataset.p > p_enum_max:
+        # the cheaper backend; cells past their budget cost inf
+        sigma_cost = MARGIN_SOLVE_COST * 2 ** (dataset.p - 1)
+        if dataset.p > SIGMA_MAX_P or sigma_cost >= cell_scan_cost(flat.shape[0], rank):
+            return METHOD_CELLS
+        # the scan runs on the distinct hyperplanes, which kp only bounds
+        distinct = len(dedupe_directions(flat)[0])
+        return METHOD_CELLS if sigma_cost >= cell_scan_cost(distinct, rank) else METHOD_SIGMA
+    # every candidate cell costs a solve, so candidates do not measure cells
+    if rank <= 3:
+        return METHOD_CELLS
+    if dataset.p > SIGMA_MAX_P:
         raise BudgetError(
-            f"p={dataset.p} exceeds the sign-vector enumeration budget {p_enum_max}; "
-            "use random_classifier_probe or raise p_enum_max"
+            f"p={dataset.p} exceeds the sign-vector enumeration budget {SIGMA_MAX_P}; "
+            "use random_classifier_probe"
         )
-    return chosen
+    return METHOD_SIGMA
 
 
 def _cells_labelings(dataset: Dataset, margin: float) -> Iterator[np.ndarray]:
@@ -201,21 +210,14 @@ def _sigma_labelings(dataset: Dataset, margin: float) -> Iterator[np.ndarray]:
             yield -labels
 
 
-def _probe(
-    dataset: Dataset, margin: float, p_enum_max: int, method: str, limit: int | None
-) -> SatProbe:
+def _probe(dataset: Dataset, margin: float, limit: int | None) -> SatProbe:
     """Decide (``limit=1``) or count (``limit=None``) the realizable labelings."""
     if margin < 0:
         raise ValidationError("margin must be >= 0")
-    chosen = _pick_method(dataset, margin, p_enum_max, method)
+    chosen = _pick_method(dataset, margin)
     if chosen == METHOD_FULL_RANK:
         return SatProbe(count=2 ** dataset.p, sat=True, enumerated=True, method=chosen)
-    if chosen == METHOD_CELLS:
-        labelings = _cells_labelings
-    elif chosen == METHOD_SIGMA:
-        labelings = _sigma_labelings
-    else:
-        raise ValidationError(f"unknown method {chosen!r}")
+    labelings = _cells_labelings if chosen == METHOD_CELLS else _sigma_labelings
     q = 8
     while q < dataset.p:
         prefix = Dataset(spec=dataset.spec, n=dataset.n, p=q, points=dataset.points[:q])
@@ -232,36 +234,26 @@ def _probe(
     )
 
 
-def count_admissible_dichotomies(
-    dataset: Dataset,
-    margin: float = 0.0,
-    p_enum_max: int = DEFAULT_P_ENUM_MAX,
-    method: str = "auto",
-) -> SatProbe:
+def count_admissible_dichotomies(dataset: Dataset, margin: float = 0.0) -> SatProbe:
     """Exact number of admissible labelings realizable above the margin.
 
-    Backend selection (``method="auto"``): full-rank shortcut when the kp
-    points are linearly independent, otherwise cells or sigma as the module
-    docstring says; `BudgetError` past the chosen backend's budget.  The
-    backend is chosen on the whole dataset; if a prefix of 8, 16, 32, ...
-    multiplets is UNSAT the count is 0 without a scan of the whole dataset.
+    The full-rank shortcut when the kp points are linearly independent,
+    otherwise cells or sigma as the module docstring says; `BudgetError`
+    past the chosen backend's budget.  The backend is chosen on the whole
+    dataset; if a prefix of 8, 16, 32, ... multiplets is UNSAT the count is
+    0 without a scan of the whole dataset.
     """
-    return _probe(dataset, margin, p_enum_max, method, limit=None)
+    return _probe(dataset, margin, limit=None)
 
 
-def admissible_exists(
-    dataset: Dataset,
-    margin: float = 0.0,
-    p_enum_max: int = DEFAULT_P_ENUM_MAX,
-    method: str = "auto",
-) -> SatProbe:
+def admissible_exists(dataset: Dataset, margin: float = 0.0) -> SatProbe:
     """SAT/UNSAT decision with early exit on the first realizable labeling.
 
     UNSAT outcomes are exhaustive (``enumerated=True``), whether certified
     by an UNSAT prefix of 8, 16, 32, ... multiplets or by the whole dataset;
     SAT outcomes stop at the witness, so the reported count is partial.
     """
-    return _probe(dataset, margin, p_enum_max, method, limit=1)
+    return _probe(dataset, margin, limit=1)
 
 
 def random_classifier_probe(
@@ -309,13 +301,13 @@ def random_classifier_probe(
 
 def _trial_worker(job) -> SatProbe:
     """One trial: sample a dataset from the trial's stream, probe it once."""
-    spec, n, p, margin, p_enum_max, probe, num_weights, stream = job
+    spec, n, p, margin, probe, num_weights, stream = job
     ds = sample_dataset(spec, n, p, stream)
     if probe == _COUNT:
-        return count_admissible_dichotomies(ds, margin=margin, p_enum_max=p_enum_max)
+        return count_admissible_dichotomies(ds, margin=margin)
     if probe == METHOD_RANDOM:
         return random_classifier_probe(ds, num_weights, stream.substream(1), margin=margin)
-    return admissible_exists(ds, margin=margin, p_enum_max=p_enum_max)
+    return admissible_exists(ds, margin=margin)
 
 
 def _map_ordered(worker, jobs, threads: int):
@@ -347,18 +339,17 @@ def estimate_mean_count(
     p: int,
     trials: int,
     rng: Rng,
-    margin: float = 0.0,
-    p_enum_max: int = DEFAULT_P_ENUM_MAX,
     threads: int = 1,
 ) -> tuple[float, float]:
-    """Mean admissible-dichotomy count over independent disorder trials.
+    """Mean admissible-dichotomy count (at margin 0) over independent
+    disorder trials.
 
     Returns (mean, standard error); the error is zero whenever the count is
     deterministic (e.g. unstructured data in general position).
     """
     if trials < 2:
         raise ValidationError("need at least 2 trials for a standard error")
-    jobs = [(spec, n, p, margin, p_enum_max, _COUNT, 0, rng.substream(t)) for t in range(trials)]
+    jobs = [(spec, n, p, 0.0, _COUNT, 0, rng.substream(t)) for t in range(trials)]
     return _mean_stderr([q.count for q in _map_ordered(_trial_worker, jobs, threads)])
 
 
@@ -369,7 +360,6 @@ def sat_fraction_scan(
     trials: int,
     rng: Rng,
     margin: float = 0.0,
-    p_enum_max: int = DEFAULT_P_ENUM_MAX,
     probe: str = "enumerate",
     num_weights: int = 10000,
     threads: int = 1,
@@ -401,7 +391,7 @@ def sat_fraction_scan(
             raise ValidationError(f"alpha={alpha} gives p={p} < 1 at n={n}")
     kind = _COUNT if with_counts else probe
     jobs = [
-        (spec, n, p, margin, p_enum_max, kind, num_weights, rng.substream(i, t))
+        (spec, n, p, margin, kind, num_weights, rng.substream(i, t))
         for i, p in enumerate(loads)
         for t in range(trials)
     ]
@@ -429,14 +419,13 @@ def sat_fraction_scan(
     return points
 
 
-def crossover_load(
-    points: list[PhasePoint], level: float = 0.5
-) -> tuple[float, float]:
-    """Load at which the SAT fraction first crosses ``level`` going down.
+def crossover_load(points: list[PhasePoint]) -> tuple[float, float]:
+    """Load at which the SAT fraction first crosses 1/2 going down.
 
     Linear interpolation between the bracketing grid points; the error
     propagates the two binomial fraction errors through the interpolation.
     """
+    level = 0.5
     pts = sorted(points, key=lambda q: q.alpha)
     for a, b in zip(pts, pts[1:]):
         if a.fraction >= level > b.fraction:

@@ -124,7 +124,6 @@ def crossing_load(
     n1: int,
     n2: int,
     alpha_window: tuple[float, float],
-    tol: float = 1e-4,
 ) -> float:
     """Load at which the entropy curves for dimensions n1 and n2 cross.
 
@@ -160,4 +159,4 @@ def crossing_load(
         raise NoCrossingError(
             f"entropy curves for n={n1} and n={n2} do not cross on {alpha_window}"
         )
-    return bisect_root(gap, lo, hi, tol=tol)
+    return bisect_root(gap, lo, hi, tol=1e-4)

@@ -63,7 +63,7 @@ def _affine_minimizer(points: np.ndarray) -> np.ndarray:
     return sol[:s]
 
 
-def min_norm_point(points: np.ndarray, tol: float = _MNP_TOL) -> np.ndarray:
+def min_norm_point(points: np.ndarray) -> np.ndarray:
     """Minimum-norm point of the convex hull of the rows (Wolfe's algorithm).
 
     Maintains a corral of affinely independent rows; alternates between
@@ -84,7 +84,7 @@ def min_norm_point(points: np.ndarray, tol: float = _MNP_TOL) -> np.ndarray:
     for _ in range(16 * m + 64):
         dots = x_rows @ d
         j = int(np.argmin(dots))
-        if dots[j] > d @ d - tol * scale:
+        if dots[j] > d @ d - _MNP_TOL * scale:
             break
         if j in corral:
             break  # arithmetic stall; d is optimal to working precision

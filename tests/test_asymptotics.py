@@ -144,12 +144,10 @@ class TestTransitionLoad:
 
     def test_smaller_root(self):
         # with theta1 < theta0 the function starts negative, so a smaller
-        # root exists; with theta1 >= theta0 it does not
-        small = transition_load(0.6, 0.3, root="smaller")
-        large = transition_load(0.6, 0.3, root="larger")
-        assert 0 < small.alpha_star < large.alpha_star
-        with pytest.raises(NoTransitionError):
-            transition_load(0.5, 1.0, root="smaller")
+        # root exists below alpha_peak; the critical load is the larger root
+        large = transition_load(0.6, 0.3)
+        assert large.alpha_star > 0.6 / (1 - 0.6)
+        assert large.residual < 1e-9
 
     def test_stationarity_at_root(self):
         # d/dn of the entropy per n vanishes at the critical load

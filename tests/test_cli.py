@@ -332,12 +332,12 @@ class TestFlags:
         [
             (["transition", "--rho", "0"], "--seed"),
             (["transition", "--rho", "0"], "--threads"),
-            (["transition", "--rho", "0"], "--p-enum-max"),
+            (["transition", "--rho", "0"], "--trials"),
             (["fss", "--rho", "0"], "--seed"),
             (["fss", "--rho", "0"], "--threads"),
-            (["fss", "--rho", "0"], "--p-enum-max"),
+            (["fss", "--rho", "0"], "--trials"),
             (["psi", "--k", "2", "--rho", "0.5", "--samples", "10"], "--threads"),
-            (["psi", "--k", "2", "--rho", "0.5", "--samples", "10"], "--p-enum-max"),
+            (["psi", "--k", "2", "--rho", "0.5", "--samples", "10"], "--trials"),
         ],
         ids=lambda value: value[0] if isinstance(value, list) else value.strip("-"),
     )
@@ -345,6 +345,19 @@ class TestFlags:
         code, out, _ = run(capsys, *command, flag, "2")
         assert code == 1
         assert "unrecognized arguments" in json.loads(out)["message"]
+
+    @pytest.mark.parametrize("command", ["count", "phase-diagram", "mc"])
+    def test_sigma_budget_is_not_an_option(self, capsys, tmp_path, command):
+        argv = [command, *SEEDED[command], "--out", str(tmp_path / "x")]
+        code, out, _ = run(capsys, *argv, "--p-enum-max", "22")
+        assert code == 1
+        assert "unrecognized arguments: --p-enum-max 22" in json.loads(out)["message"]
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"p_enum_max": 22}))
+        code, out, _ = run(capsys, *argv, "--config", str(cfg))
+        assert code == 1
+        assert "unknown key 'p_enum_max'" in json.loads(out)["message"]
+        assert [path.name for path in tmp_path.iterdir()] == ["run.json"]
 
     @pytest.mark.parametrize(
         "command, reason",
@@ -476,6 +489,10 @@ WRONG = {"TEXT": 5, "SWITCH": "false"}
 class TestOptionTable:
     def test_every_seeded_command_is_listed(self):
         assert set(SEEDED) == {name for name, c in COMMANDS.items() if "seed" in c.options}
+
+    def test_every_option_is_taken_by_a_command(self):
+        # a config file accepts every key of the table, so no row may be orphaned
+        assert set(OPTIONS) == {key for c in COMMANDS.values() for key in c.options}
 
     @pytest.mark.parametrize("command", sorted(SEEDED))
     def test_negative_seed_is_validation_error(self, capsys, tmp_path, command):

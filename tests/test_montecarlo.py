@@ -8,7 +8,6 @@ import pytest
 
 from vclab.errors import BudgetError, ValidationError
 from vclab.montecarlo import (
-    DEFAULT_P_ENUM_MAX,
     Dataset,
     PhasePoint,
     _cells_labelings,
@@ -38,6 +37,11 @@ def seed_matched_pair_dataset(rho: float, n: int, p: int, rng: Rng) -> Dataset:
     gen = rng.generator()
     pts = np.stack([L @ sample_orthonormal_frame(n, 2, gen) for _ in range(p)])
     return Dataset(spec=spec, n=n, p=p, points=pts)
+
+
+def drained(labelings, dataset: Dataset, margin: float) -> list[bytes]:
+    """Every labeling a backend generator yields, in sorted order."""
+    return sorted(row.tobytes() for row in labelings(dataset, margin))
 
 
 class TestSampling:
@@ -112,19 +116,17 @@ class TestCounting:
                 datasets.append(points_dataset(np.vstack([pts, -pts[t]])))
             frame, _ = np.linalg.qr(gen.standard_normal((5, 4)))
             datasets.append(points_dataset(gen.standard_normal((9, 4)) @ frame.T))
+        # coincident pairs of rank 7: 24 points, 12 distinct hyperplanes
+        datasets.append(sample_dataset(StructureSpec.pairs(1.0), 7, 12, Rng(10, 98)))
         for ds in datasets:
-            a = count_admissible_dichotomies(ds, method="cells").count
-            b = count_admissible_dichotomies(ds, method="sigma").count
-            assert a == b
+            assert drained(_cells_labelings, ds, 0.0) == drained(_sigma_labelings, ds, 0.0)
 
     def test_backends_agree_with_margin(self):
         rng = Rng(11)
         for n, p in ((3, 5), (4, 7), (5, 8)):
             for t in range(8):
                 ds = sample_dataset(UNSTRUCTURED, n, p, rng.substream(t))
-                a = count_admissible_dichotomies(ds, margin=0.3, method="cells").count
-                b = count_admissible_dichotomies(ds, margin=0.3, method="sigma").count
-                assert a == b
+                assert drained(_cells_labelings, ds, 0.3) == drained(_sigma_labelings, ds, 0.3)
 
     def test_counts_even_when_enumerated(self):
         rng = Rng(12)
@@ -178,13 +180,14 @@ class TestCounting:
         )
 
     def test_budget_error(self):
-        # past p_enum_max: the q=8 prefix is SAT, the q=16 one exceeds the cell budget
+        # past the sigma budget: the q=8 prefix is SAT, the q=16 one exceeds the cell budget
         ds = sample_dataset(PAIRS_HALF, 10, 24, Rng(18))
         with pytest.raises(BudgetError):
             count_admissible_dichotomies(ds)
+        # rank 4 at a margin picks sigma, which refuses p = 23
         with pytest.raises(BudgetError):
             count_admissible_dichotomies(
-                sample_dataset(PAIRS_HALF, 5, 6, Rng(18)), method="sigma", p_enum_max=4
+                sample_dataset(UNSTRUCTURED, 4, 23, Rng(18)), margin=0.99
             )
 
     @pytest.mark.parametrize(
@@ -196,11 +199,17 @@ class TestCounting:
             (PAIRS_HALF, 8, 10, 0.0, "sigma"),  # sigma is cheaper
             (PAIRS_HALF, 7, 20, 0.0, "sigma"),  # cells exceed their budget
             (UNSTRUCTURED, 5, 8, 0.5, "sigma"),  # rank > 3 at a positive margin
+        ]
+        # coincident or antipodal pairs: cells priced on the distinct points
+        + [
+            (StructureSpec.pairs(1.0), 7, 12, 0.0, "cells"),
+            (StructureSpec.pairs(1.0), 6, 10, 0.0, "cells"),
+            (StructureSpec.pairs(-1.0), 6, 10, 0.0, "cells"),
         ],
     )
     def test_auto_backend_choice(self, spec, n, p, margin, method):
         ds = sample_dataset(spec, n, p, Rng(20, (n, p)))
-        assert _pick_method(ds, margin, DEFAULT_P_ENUM_MAX, "auto") == method
+        assert _pick_method(ds, margin) == method
 
     def test_margin_requires_nonnegative(self):
         ds = sample_dataset(UNSTRUCTURED, 3, 2, Rng(19))
@@ -314,11 +323,14 @@ class TestPrefixCertificate:
         assert scans == [8, 16, 20]
 
     def test_budget_errors_unchanged(self):
-        # a forced sigma scan beyond its budget raises although q=8 is UNSAT
+        # a sigma scan beyond its budget raises although q=8 is UNSAT
+        ds = sample_dataset(UNSTRUCTURED, 4, 23, Rng(64))
+        prefix = Dataset(spec=ds.spec, n=ds.n, p=8, points=ds.points[:8])
+        assert not admissible_exists(prefix, margin=0.99).sat
         with pytest.raises(BudgetError):
-            admissible_exists(antipodal_pairs(3, 12, 64), method="sigma", p_enum_max=10)
-        # past p_enum_max a cell scan beyond its budget raises once no prefix
-        # decides the dataset (q=8 is SAT here)
+            admissible_exists(ds, margin=0.99)
+        # past the sigma budget a cell scan beyond its budget raises once no
+        # prefix decides the dataset (q=8 is SAT here)
         with pytest.raises(BudgetError):
             admissible_exists(sample_dataset(PAIRS_HALF, 9, 24, Rng(65)))
 
