@@ -27,7 +27,6 @@ from .errors import (
     DomainError,
     InsufficientConditioningError,
     NoCrossingError,
-    NotPositiveSemidefiniteError,
     NoTransitionError,
     OutOfGridError,
     UnsupportedStructureError,
@@ -49,7 +48,6 @@ from .montecarlo import (
 from .numerics import (
     Rng,
     bisect_root,
-    cholesky,
     sample_orthonormal_frame,
 )
 from .recursion import (
@@ -84,7 +82,6 @@ __all__ = [
     "FssResult",
     "InsufficientConditioningError",
     "NoCrossingError",
-    "NotPositiveSemidefiniteError",
     "NoTransitionError",
     "OutOfGridError",
     "PhasePoint",
@@ -104,7 +101,6 @@ __all__ = [
     "asymptotic_log_count",
     "bisect_root",
     "build_count_table",
-    "cholesky",
     "count_admissible_dichotomies",
     "cover_count_exact",
     "crossing_load",

@@ -537,24 +537,19 @@ def cmd_mc(cfg: dict) -> int:
             file=sys.stderr,
         )
 
-    try:
-        points = sat_fraction_scan(
-            spec,
-            n,
-            grid,
-            trials,
-            rng,
-            margin=margin,
-            probe=cfg["probe"],
-            num_weights=cfg["num_weights"],
-            threads=cfg["threads"],
-            with_counts=cfg["with_counts"],
-            progress=_progress,
-        )
-    except BudgetError as exc:
-        raise BudgetError(
-            f"{exc}; try --probe random-classifier for loads beyond the budget"
-        ) from exc
+    points = sat_fraction_scan(
+        spec,
+        n,
+        grid,
+        trials,
+        rng,
+        margin=margin,
+        probe=cfg["probe"],
+        num_weights=cfg["num_weights"],
+        threads=cfg["threads"],
+        with_counts=cfg["with_counts"],
+        progress=_progress,
+    )
     try:
         cross, cross_err = crossover_load(points)
         print(

@@ -30,10 +30,6 @@ class BracketError(VclabError):
     """Root bracketing failed: the function has the same sign at both ends."""
 
 
-class NotPositiveSemidefiniteError(ValidationError):
-    """A Gram matrix has a pivot below the semidefinite tolerance."""
-
-
 class UnsupportedStructureError(VclabError):
     """No analytic recursion coefficients for this multiplet size."""
 

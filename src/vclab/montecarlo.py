@@ -152,12 +152,12 @@ def _pick_method(dataset: Dataset, margin: float) -> str:
     if margin == 0.0:
         if rank == flat.shape[0]:
             return METHOD_FULL_RANK
-        # the cheaper backend; cells past their budget cost inf
-        sigma_cost = MARGIN_SOLVE_COST * 2 ** (dataset.p - 1)
-        if dataset.p > SIGMA_MAX_P or sigma_cost >= cell_scan_cost(flat.shape[0], rank):
+        # sigma stops at SIGMA_MAX_P; below it the cheaper backend, with cells
+        # priced on the distinct hyperplanes they scan (inf past their budget)
+        if dataset.p > SIGMA_MAX_P:
             return METHOD_CELLS
-        # the scan runs on the distinct hyperplanes, which kp only bounds
         distinct = len(dedupe_directions(flat)[0])
+        sigma_cost = MARGIN_SOLVE_COST * 2 ** (dataset.p - 1)
         return METHOD_CELLS if sigma_cost >= cell_scan_cost(distinct, rank) else METHOD_SIGMA
     # every candidate cell costs a solve, so candidates do not measure cells
     if rank <= 3:
@@ -165,7 +165,7 @@ def _pick_method(dataset: Dataset, margin: float) -> str:
     if dataset.p > SIGMA_MAX_P:
         raise BudgetError(
             f"p={dataset.p} exceeds the sign-vector enumeration budget {SIGMA_MAX_P}; "
-            "use random_classifier_probe"
+            "use the random-classifier probe, which has no budget"
         )
     return METHOD_SIGMA
 

@@ -2,9 +2,8 @@
 
 The small amount of machinery the rest of the package needs with
 non-standard semantics: reproducible counter-style random streams,
-bisection on a bracket, a semidefinite-tolerant Cholesky factorization and
-Haar-random orthonormal frames.  Special functions come straight from
-:mod:`math`.
+bisection on a bracket and Haar-random orthonormal frames.  Special
+functions come straight from :mod:`math`.
 
 Counts are kept in natural-log domain throughout the package; ``-inf``
 encodes an exact zero count.
@@ -18,19 +17,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    BracketError,
-    DimensionError,
-    NotPositiveSemidefiniteError,
-    ValidationError,
-)
+from .errors import BracketError, DimensionError, ValidationError
 
 NEG_INF = float("-inf")
-
-# Pivot window for semidefinite Gram matrices: pivots in [-PIVOT_TOL, PIVOT_TOL]
-# are clamped to zero (rank-deficient overlaps such as rho=1 must be accepted),
-# anything below -PIVOT_TOL is rejected.
-PIVOT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -94,39 +83,6 @@ def bisect_root(
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def cholesky(gram: np.ndarray) -> np.ndarray:
-    """Lower-triangular L with L@L.T == gram, accepting semidefinite input.
-
-    ``gram`` must be symmetric with unit diagonal.  Pivots in
-    [-PIVOT_TOL, 0] are clamped to zero so that degenerate overlap matrices
-    (e.g. a fully coincident pair, rho=1) factor cleanly; a pivot below
-    -PIVOT_TOL raises `NotPositiveSemidefiniteError`.
-    """
-    g = np.asarray(gram, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise ValidationError(f"gram must be square, got shape {g.shape}")
-    if not np.allclose(g, g.T, atol=1e-12):
-        raise ValidationError("gram must be symmetric")
-    if not np.allclose(np.diag(g), 1.0, atol=1e-12):
-        raise ValidationError("gram must have unit diagonal")
-    k = g.shape[0]
-    L = np.zeros((k, k))
-    for j in range(k):
-        d = g[j, j] - L[j, :j] @ L[j, :j]
-        if d < -PIVOT_TOL:
-            raise NotPositiveSemidefiniteError(
-                f"pivot {d:.3e} at index {j} below -{PIVOT_TOL:.0e}"
-            )
-        if d <= PIVOT_TOL:
-            # rank-deficient direction: the whole column collapses
-            L[j, j] = 0.0
-            continue
-        L[j, j] = math.sqrt(d)
-        for i in range(j + 1, k):
-            L[i, j] = (g[i, j] - L[i, :j] @ L[j, :j]) / L[j, j]
-    return L
 
 
 def sample_orthonormal_frame(n: int, k: int, rng: Rng | np.random.Generator) -> np.ndarray:

@@ -141,22 +141,19 @@ def dedupe_directions(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     Returns (representatives, rep_index, rep_sign) with
     points[i] == rep_sign[i] * representatives[rep_index[i]] bitwise.
     Coincident or antipodal points (overlaps +/-1) define the same
-    hyperplane and would break the generic-arrangement assumptions.
+    hyperplane and would break the generic-arrangement assumptions.  Each
+    row is oriented so its first coordinate has a clear sign bit, and the
+    representatives are numbered in order of first occurrence.
     """
-    reps: list[np.ndarray] = []
-    keys: dict[bytes, int] = {}
-    idx = np.empty(points.shape[0], dtype=np.intp)
-    sgn = np.empty(points.shape[0], dtype=np.int8)
-    for i, row in enumerate(points):
-        kp = row.tobytes()
-        kn = (-row).tobytes()
-        canon = min(kp, kn)
-        if canon not in keys:
-            keys[canon] = len(reps)
-            reps.append(row if kp <= kn else -row)
-        idx[i] = keys[canon]
-        sgn[i] = 1 if (row if kp <= kn else -row).tobytes() == kp else -1
-    return np.array(reps), idx, sgn
+    flip = np.signbit(points[:, 0])
+    sgn = np.where(flip, -1, 1).astype(np.int8)
+    canon = np.where(flip[:, None], -points, points)
+    rows = canon.view(np.dtype((np.void, canon.itemsize * canon.shape[1]))).ravel()
+    _, first, group = np.unique(rows, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return canon[first[order]], rank[group], sgn
 
 
 def numerical_rank(s: np.ndarray, shape: tuple[int, ...]) -> int:
@@ -199,7 +196,8 @@ def sign_pattern_blocks(points: np.ndarray) -> Iterator[tuple[np.ndarray, np.nda
     n_fix = r - 1
     if cell_scan_cost(m, r) == math.inf:
         raise BudgetError(
-            f"cell enumeration over {math.comb(m, n_fix)} edge subsets in rank {r} is too large"
+            f"cell enumeration over {math.comb(m, n_fix)} edge subsets in rank {r} "
+            "is too large; use the random-classifier probe, which has no budget"
         )
     combos = np.array(list(product((1, -1), repeat=n_fix)), dtype=np.int8)
     # no batch holds more candidate rows than 4096 subsets at rank 3

@@ -28,7 +28,14 @@ from .errors import (
     UnsupportedStructureError,
     ValidationError,
 )
-from .numerics import Rng, cholesky, sample_orthonormal_frame
+from .numerics import Rng, sample_orthonormal_frame
+
+# Pivots within _PIVOT_TOL of zero are zero, so rank-deficient overlaps such
+# as the coincident pair rho=1 factor cleanly; a lower pivot is indefinite.
+_PIVOT_TOL = 1e-10
+# A zero pivot's column must vanish to within _COLUMN_TOL, or the overlap
+# matrix is indefinite.
+_COLUMN_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,7 +44,11 @@ class StructureSpec:
 
     The overlap matrix must be symmetric, have unit diagonal, and be
     positive semidefinite (degenerate matrices such as the coincident pair
-    rho=1 are allowed).  k=1 carries the trivial 1x1 matrix.
+    rho=1 are allowed).  k=1 carries the trivial 1x1 matrix.  Positive
+    semidefiniteness is checked by the Cholesky factorization that
+    multiplet sampling uses (`_semidefinite_cholesky`): a pivot below
+    -1e-10 is refused, and a pivot within 1e-10 of zero is accepted only if
+    its column vanishes to 1e-9.
     """
 
     k: int
@@ -60,14 +71,10 @@ class StructureSpec:
             raise ValidationError("gram must have unit diagonal")
         if np.any(np.abs(g) > 1 + 1e-12):
             raise ValidationError("overlaps must lie in [-1, 1]")
-        if self.k > 1:
-            lo = np.linalg.eigvalsh(g).min()
-            if lo < -1e-9:
-                raise ValidationError(f"gram is not positive semidefinite (min eig {lo:.3e})")
         g.setflags(write=False)
         object.__setattr__(self, "gram", g)
-        # cached Cholesky template for multiplet sampling
-        object.__setattr__(self, "_chol", cholesky(g))
+        # the positive-semidefiniteness check, cached for multiplet sampling
+        object.__setattr__(self, "_chol", _semidefinite_cholesky(g))
 
     @classmethod
     def unstructured(cls) -> "StructureSpec":
@@ -113,6 +120,37 @@ class StructureSpec:
         if k == 1:
             return cls.unstructured()
         raise ValidationError("structure spec needs either 'gram' or 'rho' for k > 1")
+
+
+def _semidefinite_cholesky(g: np.ndarray) -> np.ndarray:
+    """Lower-triangular L with L @ L.T == g for a symmetric semidefinite g;
+    `ValidationError` when g is indefinite.
+
+    A pivot within _PIVOT_TOL of zero marks a rank-deficient direction: its
+    column collapses to zero, which is only consistent when the residual
+    column vanishes too.
+    """
+    k = g.shape[0]
+    L = np.zeros((k, k))
+    for j in range(k):
+        d = g[j, j] - L[j, :j] @ L[j, :j]
+        if d < -_PIVOT_TOL:
+            raise ValidationError(
+                f"gram is not positive semidefinite (pivot {d:.3e} at index {j})"
+            )
+        if d <= _PIVOT_TOL:
+            for i in range(j + 1, k):
+                rest = g[i, j] - L[i, :j] @ L[j, :j]
+                if abs(rest) > _COLUMN_TOL:
+                    raise ValidationError(
+                        f"gram is not positive semidefinite (zero pivot at index {j}, "
+                        f"column entry {rest:.3e} at row {i})"
+                    )
+            continue
+        L[j, j] = math.sqrt(d)
+        for i in range(j + 1, k):
+            L[i, j] = (g[i, j] - L[i, :j] @ L[j, :j]) / L[j, j]
+    return L
 
 
 @dataclass(frozen=True)

@@ -172,12 +172,16 @@ class TestMc:
         assert code == 1
 
     def test_budget_exit_code_and_hint(self, capsys, tmp_path):
-        code, out, _ = run(
-            capsys, "mc", "--mode", "pairs", "--rho", "0.5", "--n", "10",
-            "--alpha", "2.4", "--trials", "2", "--out", str(tmp_path / "x.csv"),
-        )
-        assert code == 3
-        assert "random-classifier" in json.loads(out)["message"]
+        # past the cell budget, and past the sigma budget at a margin
+        for load in (
+            ("--mode", "pairs", "--rho", "0.5", "--n", "10", "--alpha", "2.4", "--trials", "2"),
+            ("--mode", "margin", "--kappa", "0.99", "--n", "4", "--alpha", "5.75", "--trials", "1"),
+        ):
+            code, out, _ = run(capsys, "mc", *load, "--out", str(tmp_path / "x.csv"))
+            assert code == 3
+            message = json.loads(out)["message"]
+            assert message.count("random-classifier") == 1
+            assert "random_classifier_probe" not in message
 
     def test_margin_mode(self, capsys, tmp_path):
         out = tmp_path / "margin.csv"

@@ -21,9 +21,9 @@ from vclab.montecarlo import (
     sample_dataset,
     sat_fraction_scan,
 )
-from vclab.numerics import Rng, cholesky, sample_orthonormal_frame
+from vclab.numerics import Rng
 from vclab.recursion import build_count_table, cover_count_exact
-from vclab.structure import StructureSpec, psi2, theta_coefficients
+from vclab.structure import StructureSpec, psi2, sample_multiplet, theta_coefficients
 
 UNSTRUCTURED = StructureSpec.unstructured()
 PAIRS_HALF = StructureSpec.pairs(0.5)
@@ -33,9 +33,8 @@ def seed_matched_pair_dataset(rho: float, n: int, p: int, rng: Rng) -> Dataset:
     """Pairs built from a fixed frame stream so different rho values share
     the same random rotation (used for overlap-monotonicity checks)."""
     spec = StructureSpec.pairs(rho)
-    L = cholesky(spec.gram)
     gen = rng.generator()
-    pts = np.stack([L @ sample_orthonormal_frame(n, 2, gen) for _ in range(p)])
+    pts = np.stack([sample_multiplet(spec, n, gen) for _ in range(p)])
     return Dataset(spec=spec, n=n, p=p, points=pts)
 
 

@@ -4,21 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from vclab.errors import (
-    BracketError,
-    DimensionError,
-    NotPositiveSemidefiniteError,
-    ValidationError,
-)
-from vclab.numerics import (
-    Rng,
-    bisect_root,
-    cholesky,
-    sample_orthonormal_frame,
-)
+from vclab.errors import BracketError, DimensionError
+from vclab.numerics import Rng, bisect_root, sample_orthonormal_frame
 
 
 class TestBisect:
@@ -35,42 +23,6 @@ class TestBisect:
 
     def test_swapped_bracket(self):
         assert bisect_root(lambda x: x - 1.0, 2.0, 0.0, 1e-12) == pytest.approx(1.0)
-
-
-class TestCholesky:
-    def test_identity(self):
-        np.testing.assert_allclose(cholesky(np.eye(2)), np.eye(2))
-
-    def test_pair_half(self):
-        L = cholesky(np.array([[1.0, 0.5], [0.5, 1.0]]))
-        expected = np.array([[1.0, 0.0], [0.5, math.sqrt(0.75)]])
-        np.testing.assert_allclose(L, expected, atol=1e-15)
-
-    def test_degenerate_pair(self):
-        L = cholesky(np.array([[1.0, 1.0], [1.0, 1.0]]))
-        np.testing.assert_allclose(L, np.array([[1.0, 0.0], [1.0, 0.0]]))
-
-    def test_rejects_indefinite(self):
-        g = np.array([[1.0, 0.0, 0.9], [0.0, 1.0, -0.9], [0.9, -0.9, 1.0]])
-        with pytest.raises(NotPositiveSemidefiniteError):
-            cholesky(g)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValidationError):
-            cholesky(np.array([[1.0, 0.3], [0.2, 1.0]]))
-
-    @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=10**6))
-    @settings(max_examples=50, deadline=None)
-    def test_reconstruction(self, k, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((k, k + 2))
-        g = a @ a.T
-        d = np.sqrt(np.diag(g))
-        g = g / np.outer(d, d)
-        g = 0.5 * (g + g.T)
-        np.fill_diagonal(g, 1.0)
-        L = cholesky(g)
-        assert np.max(np.abs(L @ L.T - g)) <= 1e-12
 
 
 class TestFrames:

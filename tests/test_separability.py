@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vclab.errors import ValidationError
-from vclab.montecarlo import Dataset, _cells_labelings
+from vclab.montecarlo import Dataset, _cells_labelings, sample_dataset
 from vclab.numerics import Rng
 from vclab.recursion import cover_count_exact
 from vclab.separability import (
@@ -30,6 +30,25 @@ def realizable_sign_patterns(points: np.ndarray) -> np.ndarray:
         spec=StructureSpec.unstructured(), n=pts.shape[1], p=pts.shape[0], points=pts[:, None, :]
     )
     return np.array(list(_cells_labelings(data, 0.0)), dtype=np.int8)
+
+
+def dedupe_loop(points: np.ndarray):
+    """Row-by-row oracle for `dedupe_directions`: each row is keyed by the
+    smaller of its own bytes and those of its negation."""
+    reps: list[np.ndarray] = []
+    keys: dict[bytes, int] = {}
+    idx = np.empty(points.shape[0], dtype=np.intp)
+    sgn = np.empty(points.shape[0], dtype=np.int8)
+    for i, row in enumerate(points):
+        kp = row.tobytes()
+        kn = (-row).tobytes()
+        canon = min(kp, kn)
+        if canon not in keys:
+            keys[canon] = len(reps)
+            reps.append(row if kp <= kn else -row)
+        idx[i] = keys[canon]
+        sgn[i] = 1 if kp <= kn else -1
+    return np.array(reps), idx, sgn
 
 
 def direction_search_margin(points, signs, seed=0, coarse=200000, refine=80):
@@ -206,3 +225,23 @@ class TestDedupe:
         assert sgn[0] == -sgn[1]
         assert sgn[0] == sgn[2]
         np.testing.assert_array_equal(sgn[:, None] * reps[idx], pts)
+
+    def test_matches_row_by_row_oracle(self):
+        inputs = [
+            sample_dataset(StructureSpec.pairs(rho), 3, p, Rng(30, (t, p))).flat
+            for rho in (-1.0, -0.5, 0.2, 0.5, 0.8, 1.0)
+            for p in (1, 9, 81)
+            for t in range(2)
+        ]
+        # integer grids: duplicates, antipodes and signed zeros
+        gen = Rng(31).generator()
+        for _ in range(100):
+            m, n = int(gen.integers(1, 30)), int(gen.integers(1, 5))
+            x = gen.integers(-2, 3, size=(m, n)).astype(float)
+            x[gen.random((m, n)) < 0.2] = -0.0
+            inputs.append(x)
+        for pts in inputs:
+            for got, want in zip(dedupe_directions(pts), dedupe_loop(pts)):
+                assert got.dtype == want.dtype
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vclab.errors import (
     DimensionError,
@@ -41,12 +43,54 @@ class TestStructureSpec:
         spec = StructureSpec.from_json({"k": 1})
         assert spec.gram.shape == (1, 1)
 
+    def test_factor_identity(self):
+        for k in (1, 2, 3):
+            assert StructureSpec(k=k)._chol.tobytes() == np.eye(k).tobytes()
+
+    @pytest.mark.parametrize("rho", [-1.0, -0.5, 0.0, 0.2, 0.5, 0.8, 1.0])
+    def test_pair_factor(self, rho):
+        # byte for byte: the factor fixes the sampling stream of every pair workload
+        expected = np.array([[1.0, 0.0], [rho, math.sqrt(1.0 - rho * rho)]])
+        assert StructureSpec.pairs(rho)._chol.tobytes() == expected.tobytes()
+
+    @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=50, deadline=None)
+    def test_factor_reconstruction(self, k, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((k, k + 2))
+        g = a @ a.T
+        d = np.sqrt(np.diag(g))
+        g = g / np.outer(d, d)
+        g = 0.5 * (g + g.T)
+        np.fill_diagonal(g, 1.0)
+        L = StructureSpec(k=k, gram=g)._chol
+        assert np.max(np.abs(L @ L.T - g)) <= 1e-12
+
+    def test_accepts_semidefinite_boundary(self):
+        for spec in (
+            StructureSpec.equicorrelated(3, -0.5),
+            StructureSpec.equicorrelated(4, -1.0 / 3.0),
+            # an antipodal pair beside an orthogonal point
+            StructureSpec(k=3, gram=[[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        ):
+            L = spec._chol
+            assert np.max(np.abs(L @ L.T - spec.gram)) <= 1e-12
+
     def test_rejects_indefinite(self):
         with pytest.raises(ValidationError):
             StructureSpec.equicorrelated(3, -0.9)
-        # inside the eigenvalue tolerance, below the Cholesky pivot tolerance
+        with pytest.raises(ValidationError, match="pivot"):
+            StructureSpec(k=3, gram=[[1.0, 0.0, 0.9], [0.0, 1.0, -0.9], [0.9, -0.9, 1.0]])
+        # a pivot of -6e-10, just below the zero-pivot window of 1e-10
         with pytest.raises(ValidationError):
             StructureSpec.equicorrelated(3, -0.5 - 1e-10)
+        # the second pivot is exactly 0, but its column keeps an entry of 1
+        with pytest.raises(ValidationError, match="zero pivot at index 1"):
+            StructureSpec(k=3, gram=[[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
+
+    def test_rejects_asymmetric(self):
+        with pytest.raises(ValidationError, match="symmetric"):
+            StructureSpec(k=2, gram=[[1.0, 0.3], [0.2, 1.0]])
 
     def test_rejects_bad_diagonal(self):
         with pytest.raises(ValidationError):
