@@ -79,11 +79,13 @@ class TestStructureSpec:
     def test_rejects_indefinite(self):
         with pytest.raises(ValidationError):
             StructureSpec.equicorrelated(3, -0.9)
-        with pytest.raises(ValidationError, match="pivot"):
-            StructureSpec(k=3, gram=[[1.0, 0.0, 0.9], [0.0, 1.0, -0.9], [0.9, -0.9, 1.0]])
         # a pivot of -6e-10, just below the zero-pivot window of 1e-10
         with pytest.raises(ValidationError):
             StructureSpec.equicorrelated(3, -0.5 - 1e-10)
+
+    def test_rejects_indefinite_gram(self):
+        with pytest.raises(ValidationError, match="pivot"):
+            StructureSpec(k=3, gram=[[1.0, 0.0, 0.9], [0.0, 1.0, -0.9], [0.9, -0.9, 1.0]])
         # the second pivot is exactly 0, but its column keeps an entry of 1
         with pytest.raises(ValidationError, match="zero pivot at index 1"):
             StructureSpec(k=3, gram=[[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
