@@ -384,7 +384,8 @@ def cmd_count(cfg: dict) -> int:
                     ("montecarlo", str(n), str(p), _f(p / n), _f(logc), _f(log_err))
                 )
     if not rows:
-        raise ValidationError("nothing to compute: k > 2 requires --trials")
+        reason = "no load gives p >= 1" if analytic or trials else "k > 2 requires --trials"
+        raise ValidationError(f"nothing to compute: {reason}")
     out = cfg["out"]
     _write_csv(out, cfg, ["source", "n", "p", "alpha", "log_count", "stderr"], rows)
     if cfg.get("plot_script"):

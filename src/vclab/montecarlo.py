@@ -9,33 +9,34 @@ it:
 
 * ``full-rank``: kp independent points realize every labeling; the count
   is 2^p with no search (margin 0 only).
-* ``cells``: read the labelings off the cells of the central hyperplane
-  arrangement of the kp points, exact at any effective rank r within the
-  cell budget; the scan grows like (kp)^(r-1) 2^r, which makes deep-UNSAT
-  scans at n = 3 affordable where 2^p enumeration is hopeless.  With a
-  positive margin the admissible cells are re-checked against the margin.
-* ``sigma``: try each sign vector sigma in {+/-1}^p with sigma_1 = +1 with
-  `max_margin` and yield sigma and -sigma together (the margin is invariant
-  under the flip, so one solve decides both).  Refused past p =
-  `SIGMA_MAX_P`.
+* ``cells`` (margin 0 only): read the labelings off the cells of the
+  central hyperplane arrangement of the kp points, exact at any effective
+  rank r within the cell budget; the scan grows like (kp)^(r-1) 2^r, which
+  makes deep-UNSAT scans at n = 3 affordable where 2^p enumeration is
+  hopeless.
+* ``extension``: extend realizable labelings one multiplet at a time,
+  depth first from sigma_1 = +1, and yield each sigma with -sigma.
+  Realizability is monotone in the multiplet set, so the cost is the number
+  of realizable prefix labelings, not 2^p.  Each node carries a unit
+  witness w; a child whose new points all clear margin + TAU along w needs
+  no solve, any other costs one min-norm-point solve.  Refused past
+  `MAX_SOLVES` solves.
 * `random_classifier_probe`: sample random directions and read off the
   labelings they induce; a lower bound on the count and a SAT witness
   finder, with no UNSAT certificate.
 
-The data alone picks the backend.  At margin 0 sigma runs only up to
-p = `SIGMA_MAX_P`, and only where its 2^(p-1) solves cost less than the
-cells (`cell_scan_cost` of the distinct hyperplanes, one solve counted as
-`MARGIN_SOLVE_COST` cells); with a margin, cells decide rank <= 3 and sigma
-the rest.
+The data alone picks the backend.  A positive margin always takes the
+extension engine.  At margin 0 it runs where its worst case of 2^(p-1)
+solves costs less than the cells (`cell_scan_cost` of the distinct
+hyperplanes, one solve counted as `MARGIN_SOLVE_COST` cells, inf past the
+cell budget), and cells decide the rest.
 
-Prefix certificate: realizability is monotone in the multiplet set at every
-margin (a labeling of the whole dataset restricts to one of any subset), so
-an UNSAT subset certifies an UNSAT dataset.  After picking the backend on
-the whole dataset, a ``cells`` or ``sigma`` probe first asks that backend
-for one labeling of each prefix of q = 8, 16, 32, ... < p multiplets; the
-first prefix with none ends the probe with the exact count 0, and a dataset
-whose prefixes are all SAT is scanned in full.  Deep-UNSAT trials are thus
-decided on a few dozen multiplets instead of all p.
+Prefix certificate: an UNSAT subset certifies an UNSAT dataset, so a
+``cells`` probe first asks for one labeling of each prefix of q = 8, 16,
+32, ... < p multiplets; the first prefix with none ends the probe with the
+exact count 0, and a dataset whose prefixes are all SAT is scanned in full.
+Deep-UNSAT trials are thus decided on a few dozen multiplets instead of all
+p.  The extension engine needs no such ladder.
 
 Each trial samples one dataset from its (master seed, trial index) stream
 and probes it once; a counting probe also decides SAT, so mean counts and
@@ -50,7 +51,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
@@ -62,6 +63,7 @@ from .separability import (
     cell_scan_cost,
     dedupe_directions,
     max_margin,
+    min_norm_point,
     numerical_rank,
     sign_pattern_blocks,
 )
@@ -69,16 +71,18 @@ from .structure import StructureSpec, sample_multiplet
 
 METHOD_FULL_RANK = "full-rank"
 METHOD_CELLS = "cells"
-METHOD_SIGMA = "sigma"
+METHOD_EXTENSION = "extension"
 METHOD_RANDOM = "random-classifier"
 
-# Largest p the sigma backend enumerates: its 2^(p-1) solves take 15-20 min
-# at p = 22 (0.43-0.56 ms per solve, see below).
-SIGMA_MAX_P = 22
+# Most min-norm-point solves of one extension probe: more than the prefix
+# tree of p = 22 multiplets has nodes, 30-40 min at 0.43-0.56 ms per solve.
+MAX_SOLVES = 2**22
 
-# Cost of one `max_margin` solve in candidate patterns of a cell scan
-# (`cell_scan_cost`).  Measured on a 2-core Xeon, counting pairs at n = 6-8,
-# p = 8-10: a solve took 0.43-0.56 ms, a candidate 0.55-0.67 us, ratio 710-850.
+# Cost of one margin solve in candidate patterns of a cell scan
+# (`cell_scan_cost`), which prices the extension engine at margin 0 by its
+# worst case of 2^(p-1) solves.  Measured on a 2-core Xeon, counting pairs at
+# n = 6-8, p = 8-10: a solve took 0.43-0.56 ms, a candidate 0.55-0.67 us,
+# ratio 710-850.
 MARGIN_SOLVE_COST = 800
 
 _COUNT = "count"  # trial probe tag: full exact count instead of a SAT decision
@@ -104,10 +108,10 @@ class Dataset:
 class SatProbe:
     """Outcome of a separability probe on one dataset.
 
-    ``count`` is exact (and even, by the sigma -> -sigma symmetry) when
-    ``enumerated`` is true; a SAT decision stops at its first labeling and a
-    random-classifier probe samples, so both report partial counts with
-    ``enumerated`` false.
+    ``count`` is exact (and even, as a labeling and its negation are
+    realizable together) when ``enumerated`` is true; a SAT decision stops
+    at its first labeling and a random-classifier probe samples, so both
+    report partial counts with ``enumerated`` false.
     """
 
     count: int
@@ -140,49 +144,39 @@ def sample_dataset(
     return Dataset(spec=spec, n=n, p=p, points=pts)
 
 
-def _signed_flat(dataset: Dataset, labels: np.ndarray) -> np.ndarray:
-    return np.repeat(np.asarray(labels, dtype=float), dataset.spec.k)
-
-
-def _pick_method(dataset: Dataset, margin: float) -> str:
+def _pick_method(dataset: Dataset, margin: float) -> tuple[str, tuple | None]:
     """The exact backend for this dataset, from its rank, its size and the
-    margin; `BudgetError` where that is sigma past `SIGMA_MAX_P`."""
+    margin, with the `dedupe_directions` of its points when that is cells."""
+    if margin > 0.0:
+        return METHOD_EXTENSION, None
     flat = dataset.flat
     rank = numerical_rank(np.linalg.svd(flat, compute_uv=False), flat.shape)
-    if margin == 0.0:
-        if rank == flat.shape[0]:
-            return METHOD_FULL_RANK
-        # sigma stops at SIGMA_MAX_P; below it the cheaper backend, with cells
-        # priced on the distinct hyperplanes they scan (inf past their budget)
-        if dataset.p > SIGMA_MAX_P:
-            return METHOD_CELLS
-        distinct = len(dedupe_directions(flat)[0])
-        sigma_cost = MARGIN_SOLVE_COST * 2 ** (dataset.p - 1)
-        return METHOD_CELLS if sigma_cost >= cell_scan_cost(distinct, rank) else METHOD_SIGMA
-    # every candidate cell costs a solve, so candidates do not measure cells
-    if rank <= 3:
-        return METHOD_CELLS
-    if dataset.p > SIGMA_MAX_P:
-        raise BudgetError(
-            f"p={dataset.p} exceeds the sign-vector enumeration budget {SIGMA_MAX_P}; "
-            "use the random-classifier probe, which has no budget"
-        )
-    return METHOD_SIGMA
+    if rank == flat.shape[0]:
+        return METHOD_FULL_RANK, None
+    # cells priced on the distinct hyperplanes they scan (inf past their budget)
+    directions = dedupe_directions(flat)
+    solve_cost = MARGIN_SOLVE_COST * 2 ** (dataset.p - 1)
+    if solve_cost < cell_scan_cost(len(directions[0]), rank):
+        return METHOD_EXTENSION, None
+    return METHOD_CELLS, directions
 
 
-def _cells_labelings(dataset: Dataset, margin: float) -> Iterator[np.ndarray]:
-    """Yield each admissible labeling realizable above the margin once,
-    read off the cells of the arrangement of the kp points.
+def _cells_labelings(dataset: Dataset, directions: tuple) -> Iterator[np.ndarray]:
+    """Yield each admissible labeling realizable at margin 0 once, read off
+    the cells of the arrangement of the kp points.
 
-    Degenerate-edge candidates and all positive-margin candidates are
-    verified with `max_margin`; at margin 0 on generic data the cell
-    patterns are exact as-is.
+    ``directions`` is `dedupe_directions` of these points or of a longer
+    dataset they begin: representatives are numbered by first occurrence,
+    so those of a prefix are a prefix of them.  Degenerate-edge candidates
+    are verified with `max_margin`; on generic data the cell patterns are
+    exact as-is.
     """
     flat = dataset.flat
     p, k = dataset.p, dataset.spec.k
-    reps, idx, sgn = dedupe_directions(flat)
+    reps, idx, sgn = directions
+    idx, sgn = idx[: p * k], sgn[: p * k]
     seen: set[bytes] = set()
-    for block, verify in sign_pattern_blocks(reps):
+    for block, verify in sign_pattern_blocks(reps[: idx.max() + 1]):
         full = block[:, idx] * sgn[None, :]
         grouped = full.reshape(-1, p, k)
         consistent = np.all(grouped == grouped[:, :, :1], axis=(1, 2))
@@ -193,38 +187,72 @@ def _cells_labelings(dataset: Dataset, margin: float) -> Iterator[np.ndarray]:
             if key in seen:
                 continue
             seen.add(key)
-            if margin > 0.0 or flagged:
-                if max_margin(flat, _signed_flat(dataset, row)) <= margin + TAU:
-                    continue
+            if flagged and max_margin(flat, np.repeat(row, k)) <= TAU:
+                continue
             yield row
 
 
-def _sigma_labelings(dataset: Dataset, margin: float) -> Iterator[np.ndarray]:
-    """Yield each realizable labeling sigma with sigma_1 = +1, then -sigma
-    (the margin is invariant under the sign flip, so one solve decides both)."""
-    flat = dataset.flat
-    for bits in product((1, -1), repeat=dataset.p - 1):
-        labels = np.array((1,) + bits, dtype=np.int8)
-        if max_margin(flat, _signed_flat(dataset, labels)) > margin + TAU:
-            yield labels
+def _extension_labelings(dataset: Dataset, margin: float) -> Iterator[np.ndarray]:
+    """Yield each admissible labeling realizable above the margin once, by
+    extending realizable prefix labelings depth first (see the module
+    docstring); `BudgetError` past `MAX_SOLVES` solves."""
+    p, k = dataset.p, dataset.spec.k
+    bar = margin + TAU
+    signed = np.empty((p * k, dataset.n))  # row block j: multiplet j times its sign
+    labels = np.empty(p, dtype=np.int8)
+    solves = 0
+    stack = [(0, 1, None)]  # (depth, sign, the parent's witness if that child is free)
+    while stack:
+        j, s, w = stack.pop()
+        end = (j + 1) * k
+        signed[j * k : end] = s * dataset.points[j]
+        labels[j] = s
+        certified = w is not None
+        if not certified:
+            if solves == MAX_SOLVES:
+                raise BudgetError(
+                    f"extension search exceeds its budget of {MAX_SOLVES} margin solves; "
+                    "use the random-classifier probe, which has no budget"
+                )
+            solves += 1
+            d = min_norm_point(signed[:end])
+            norm = float(np.linalg.norm(d))
+            if norm <= bar:
+                continue
+            w = d / norm
+            # only a witness that clears the bar on every row frees children,
+            # so the Wolfe tolerance never enters a certificate
+            certified = bool(np.all(signed[:end] @ w > bar))
+        if end == p * k:
+            yield labels.copy()
             yield -labels
+            continue
+        # at most one child is free (bar > 0); it goes first, else sign +1
+        field = dataset.points[j + 1] @ w
+        first = -1 if certified and np.all(-field > bar) else 1
+        free = certified and bool(np.all(first * field > bar))
+        stack.append((j + 1, -first, None))
+        stack.append((j + 1, first, w if free else None))
 
 
 def _probe(dataset: Dataset, margin: float, limit: int | None) -> SatProbe:
     """Decide (``limit=1``) or count (``limit=None``) the realizable labelings."""
     if margin < 0:
         raise ValidationError("margin must be >= 0")
-    chosen = _pick_method(dataset, margin)
+    chosen, directions = _pick_method(dataset, margin)
     if chosen == METHOD_FULL_RANK:
         return SatProbe(count=2 ** dataset.p, sat=True, enumerated=True, method=chosen)
-    labelings = _cells_labelings if chosen == METHOD_CELLS else _sigma_labelings
-    q = 8
-    while q < dataset.p:
-        prefix = Dataset(spec=dataset.spec, n=dataset.n, p=q, points=dataset.points[:q])
-        if next(labelings(prefix, margin), None) is None:
-            return SatProbe(count=0, sat=False, enumerated=True, method=chosen)
-        q *= 2
-    count = sum(1 for _ in islice(labelings(dataset, margin), limit))
+    if chosen == METHOD_CELLS:
+        q = 8
+        while q < dataset.p:
+            prefix = Dataset(spec=dataset.spec, n=dataset.n, p=q, points=dataset.points[:q])
+            if next(_cells_labelings(prefix, directions), None) is None:
+                return SatProbe(count=0, sat=False, enumerated=True, method=chosen)
+            q *= 2
+        labelings = _cells_labelings(dataset, directions)
+    else:
+        labelings = _extension_labelings(dataset, margin)
+    count = sum(1 for _ in islice(labelings, limit))
     return SatProbe(
         count=count,
         sat=count > 0,
@@ -237,11 +265,9 @@ def _probe(dataset: Dataset, margin: float, limit: int | None) -> SatProbe:
 def count_admissible_dichotomies(dataset: Dataset, margin: float = 0.0) -> SatProbe:
     """Exact number of admissible labelings realizable above the margin.
 
-    The full-rank shortcut when the kp points are linearly independent,
-    otherwise cells or sigma as the module docstring says; `BudgetError`
-    past the chosen backend's budget.  The backend is chosen on the whole
-    dataset; if a prefix of 8, 16, 32, ... multiplets is UNSAT the count is
-    0 without a scan of the whole dataset.
+    The full-rank shortcut when the kp points are linearly independent at
+    margin 0, otherwise cells or the extension engine as the module
+    docstring says; `BudgetError` past the chosen backend's budget.
     """
     return _probe(dataset, margin, limit=None)
 
@@ -249,9 +275,8 @@ def count_admissible_dichotomies(dataset: Dataset, margin: float = 0.0) -> SatPr
 def admissible_exists(dataset: Dataset, margin: float = 0.0) -> SatProbe:
     """SAT/UNSAT decision with early exit on the first realizable labeling.
 
-    UNSAT outcomes are exhaustive (``enumerated=True``), whether certified
-    by an UNSAT prefix of 8, 16, 32, ... multiplets or by the whole dataset;
-    SAT outcomes stop at the witness, so the reported count is partial.
+    UNSAT outcomes are exhaustive (``enumerated=True``); SAT outcomes stop
+    at the witness, so the reported count is partial.
     """
     return _probe(dataset, margin, limit=1)
 

@@ -94,6 +94,22 @@ class TestCount:
         assert code == 0
         assert "plot" in script.read_text()
 
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["--k", "1", "--alpha", "0.1", "--trials", "2"], "no load gives p >= 1"),
+            (["--k", "1", "--alpha", "0.1"], "no load gives p >= 1"),
+            (["--k", "3", "--rho", "0.2", "--alpha", "0.1", "--trials", "2"], "no load gives p >= 1"),
+            (["--k", "3", "--rho", "0.2", "--alpha", "1"], "k > 2 requires --trials"),
+        ],
+        ids=["k1-trials", "k1-analytic", "k3-trials", "k3-no-trials"],
+    )
+    def test_nothing_to_compute_names_the_reason(self, capsys, tmp_path, argv, reason):
+        code, out, _ = run(capsys, "count", "--n", "3", *argv, "--out", str(tmp_path / "x.csv"))
+        assert code == 1
+        assert json.loads(out)["message"] == f"nothing to compute: {reason}"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_montecarlo_rows(self, capsys, tmp_path):
         out = tmp_path / "count.csv"
         code, _, _ = run(
@@ -171,13 +187,17 @@ class TestMc:
         )
         assert code == 1
 
-    def test_budget_exit_code_and_hint(self, capsys, tmp_path):
-        # past the cell budget, and past the sigma budget at a margin
+    def test_budget_exit_code_and_hint(self, capsys, tmp_path, monkeypatch):
+        # past the cell budget at margin 0, and at a margin: the extension
+        # engine decides both within 11 and 3 solves, so a budget of 2 refuses
+        monkeypatch.setattr("vclab.montecarlo.MAX_SOLVES", 2)
         for load in (
             ("--mode", "pairs", "--rho", "0.5", "--n", "10", "--alpha", "2.4", "--trials", "2"),
             ("--mode", "margin", "--kappa", "0.99", "--n", "4", "--alpha", "5.75", "--trials", "1"),
         ):
-            code, out, _ = run(capsys, "mc", *load, "--out", str(tmp_path / "x.csv"))
+            code, out, _ = run(
+                capsys, "mc", *load, "--threads", "1", "--out", str(tmp_path / "x.csv")
+            )
             assert code == 3
             message = json.loads(out)["message"]
             assert message.count("random-classifier") == 1

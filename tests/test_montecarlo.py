@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from vclab.errors import BudgetError, ValidationError
 from vclab.montecarlo import (
     Dataset,
     PhasePoint,
+    SatProbe,
     _cells_labelings,
+    _extension_labelings,
     _pick_method,
-    _sigma_labelings,
     admissible_exists,
     count_admissible_dichotomies,
     crossover_load,
@@ -23,6 +25,7 @@ from vclab.montecarlo import (
 )
 from vclab.numerics import Rng
 from vclab.recursion import build_count_table, cover_count_exact
+from vclab.separability import TAU, dedupe_directions, max_margin, min_norm_point
 from vclab.structure import StructureSpec, psi2, sample_multiplet, theta_coefficients
 
 UNSTRUCTURED = StructureSpec.unstructured()
@@ -38,9 +41,27 @@ def seed_matched_pair_dataset(rho: float, n: int, p: int, rng: Rng) -> Dataset:
     return Dataset(spec=spec, n=n, p=p, points=pts)
 
 
+def cells_labelings(dataset: Dataset, margin: float = 0.0):
+    """The cell scan of the whole dataset (margin 0 only)."""
+    assert margin == 0.0
+    return _cells_labelings(dataset, dedupe_directions(dataset.flat))
+
+
+def sigma_labelings(dataset: Dataset, margin: float):
+    """The sign-vector oracle: each sigma with sigma_1 = +1 checked with one
+    `max_margin` solve on the whole dataset, then yielded with -sigma."""
+    for bits in product((1, -1), repeat=dataset.p - 1):
+        labels = np.array((1,) + bits, dtype=np.int8)
+        if max_margin(dataset.flat, np.repeat(labels, dataset.spec.k)) > margin + TAU:
+            yield labels
+            yield -labels
+
+
 def drained(labelings, dataset: Dataset, margin: float) -> list[bytes]:
     """Every labeling a backend generator yields, in sorted order."""
-    return sorted(row.tobytes() for row in labelings(dataset, margin))
+    rows = [row.tobytes() for row in labelings(dataset, margin)]
+    assert len(set(rows)) == len(rows)
+    return sorted(rows)
 
 
 class TestSampling:
@@ -87,8 +108,9 @@ class TestCounting:
         assert count_admissible_dichotomies(ds).count == cover_count_exact(2, 3)
 
     def test_backends_agree(self):
-        # the sign-vector enumeration and the arrangement-cell enumeration
-        # are independent exact routes and must match instance by instance
+        # the sign-vector oracle, the arrangement-cell enumeration and the
+        # extension engine are independent exact routes and must match
+        # instance by instance
         rng = Rng(42)
         cases = [
             (UNSTRUCTURED, 2, 4),
@@ -118,14 +140,17 @@ class TestCounting:
         # coincident pairs of rank 7: 24 points, 12 distinct hyperplanes
         datasets.append(sample_dataset(StructureSpec.pairs(1.0), 7, 12, Rng(10, 98)))
         for ds in datasets:
-            assert drained(_cells_labelings, ds, 0.0) == drained(_sigma_labelings, ds, 0.0)
+            oracle = drained(sigma_labelings, ds, 0.0)
+            assert drained(cells_labelings, ds, 0.0) == oracle
+            assert drained(_extension_labelings, ds, 0.0) == oracle
 
     def test_backends_agree_with_margin(self):
         rng = Rng(11)
         for n, p in ((3, 5), (4, 7), (5, 8)):
             for t in range(8):
                 ds = sample_dataset(UNSTRUCTURED, n, p, rng.substream(t))
-                assert drained(_cells_labelings, ds, 0.3) == drained(_sigma_labelings, ds, 0.3)
+                oracle = drained(sigma_labelings, ds, 0.3)
+                assert drained(_extension_labelings, ds, 0.3) == oracle
 
     def test_counts_even_when_enumerated(self):
         rng = Rng(12)
@@ -178,42 +203,125 @@ class TestCounting:
             max_margin(ds.flat, -signs), abs=1e-12
         )
 
-    def test_budget_error(self):
-        # past the sigma budget: the q=8 prefix is SAT, the q=16 one exceeds the cell budget
+    def test_budget_error(self, monkeypatch, solves):
+        # pairs past the cell budget at p = 24: the engine decides SAT in 11
+        # solves, and refuses the decision with one solve fewer
         ds = sample_dataset(PAIRS_HALF, 10, 24, Rng(18))
+        assert admissible_exists(ds) == SatProbe(1, True, False, "extension")
+        assert len(solves) == 11
+        monkeypatch.setattr("vclab.montecarlo.MAX_SOLVES", 10)
+        with pytest.raises(BudgetError, match="random-classifier probe"):
+            admissible_exists(ds)
+        # rank 4 at margin 0.99, p = 23: the count is 0 after 3 solves (the
+        # first point, then both signs of the second)
+        ds = sample_dataset(UNSTRUCTURED, 4, 23, Rng(18))
+        monkeypatch.setattr("vclab.montecarlo.MAX_SOLVES", 3)
+        solves.clear()
+        probe = count_admissible_dichotomies(ds, margin=0.99)
+        assert probe == SatProbe(0, False, True, "extension")
+        assert solves == [1, 2, 2]
+        monkeypatch.setattr("vclab.montecarlo.MAX_SOLVES", 2)
         with pytest.raises(BudgetError):
-            count_admissible_dichotomies(ds)
-        # rank 4 at a margin picks sigma, which refuses p = 23
-        with pytest.raises(BudgetError):
-            count_admissible_dichotomies(
-                sample_dataset(UNSTRUCTURED, 4, 23, Rng(18)), margin=0.99
-            )
+            count_admissible_dichotomies(ds, margin=0.99)
 
     @pytest.mark.parametrize(
         "spec, n, p, margin, method",
         [(PAIRS_HALF, 3, p, 0.0, "cells") for p in (2, 9, 81)]
-        + [(UNSTRUCTURED, 3, 8, 0.5, "cells")]
+        + [(UNSTRUCTURED, 3, 8, 0.5, "extension")]  # any positive margin
         + [(PAIRS_HALF, 5, p, 0.0, "cells") for p in (6, 12, 25)]
         + [
-            (PAIRS_HALF, 8, 10, 0.0, "sigma"),  # sigma is cheaper
-            (PAIRS_HALF, 7, 20, 0.0, "sigma"),  # cells exceed their budget
-            (UNSTRUCTURED, 5, 8, 0.5, "sigma"),  # rank > 3 at a positive margin
+            (PAIRS_HALF, 8, 10, 0.0, "extension"),  # 2^(p-1) solves are cheaper
+            (PAIRS_HALF, 7, 20, 0.0, "extension"),  # cells exceed their budget
+            (UNSTRUCTURED, 5, 8, 0.5, "extension"),  # any positive margin
         ]
         # coincident or antipodal pairs: cells priced on the distinct points
         + [
             (StructureSpec.pairs(1.0), 7, 12, 0.0, "cells"),
             (StructureSpec.pairs(1.0), 6, 10, 0.0, "cells"),
             (StructureSpec.pairs(-1.0), 6, 10, 0.0, "cells"),
-        ],
+        ]
+        + [(PAIRS_HALF, 10, 24, 0.0, "extension")],  # p > 22, cells exceed their budget
     )
     def test_auto_backend_choice(self, spec, n, p, margin, method):
         ds = sample_dataset(spec, n, p, Rng(20, (n, p)))
-        assert _pick_method(ds, margin) == method
+        assert _pick_method(ds, margin)[0] == method
 
     def test_margin_requires_nonnegative(self):
         ds = sample_dataset(UNSTRUCTURED, 3, 2, Rng(19))
         with pytest.raises(ValidationError):
             count_admissible_dichotomies(ds, margin=-0.1)
+
+
+def rank_r_points(n: int, r: int, m: int, seed) -> np.ndarray:
+    """m unit rows spanning an r-dimensional subspace of R^n."""
+    gen = Rng(70, seed).generator()
+    frame, _ = np.linalg.qr(gen.standard_normal((n, r)))
+    pts = gen.standard_normal((m, r)) @ frame.T
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
+def cone_points(cos: float, m: int) -> np.ndarray:
+    """m unit rows at angle arccos(cos) around e_1, evenly spread: the
+    all-positive labeling has margin exactly cos (w = e_1, by symmetry)."""
+    phi = 2 * np.pi * np.arange(m) / m
+    sin = math.sqrt(1 - cos * cos)
+    return np.column_stack([np.full(m, cos), sin * np.cos(phi), sin * np.sin(phi)])
+
+
+class TestExtensionEngine:
+    """The extension engine drained against the sign-vector oracle."""
+
+    MARGINS = (0.0, 0.3, 0.5, 0.99)
+
+    def test_differential_sweep(self):
+        datasets = []
+        # k=1 data at ranks 1-8, in R^r and with a rank drop in R^(r+1)
+        for r in range(1, 9):
+            m = min(r + 2, 9)
+            datasets.append(points_dataset(rank_r_points(r, r, m, (r, 0))))
+            datasets.append(points_dataset(rank_r_points(r + 1, r, m, (r, 1))))
+        # duplicate and antipodal points
+        for n in (2, 3, 5):
+            pts = rank_r_points(n, n, 6, (n, 2))
+            datasets.append(points_dataset(np.vstack([pts, pts[1], -pts[3]])))
+        # pairs at rho = +-1 and in between, and triplets
+        for rho in (-1.0, -0.5, 0.0, 0.5, 1.0):
+            for n, p in ((3, 5), (5, 6)):
+                datasets.append(sample_dataset(StructureSpec.pairs(rho), n, p, Rng(71, (n, p))))
+        datasets.append(sample_dataset(StructureSpec.equicorrelated(3, 0.2), 4, 6, Rng(72)))
+        disagreements = [
+            (i, margin)
+            for i, ds in enumerate(datasets)
+            for margin in self.MARGINS
+            if drained(_extension_labelings, ds, margin) != drained(sigma_labelings, ds, margin)
+        ]
+        assert disagreements == []
+
+    @pytest.mark.parametrize("offset", [-1e-12, -1e-13, 0.0, 1e-13, 1e-12])
+    def test_optimum_at_the_bar(self, offset):
+        # margins that put an optimum within 1e-12 of margin + TAU
+        cases = [(points_dataset(cone_points(cos, 6)), cos) for cos in (0.6, 0.8)]
+        for t in range(4):
+            ds = points_dataset(rank_r_points(3, 3, 6, (3, t + 3)))
+            margins = [max_margin(ds.flat, row) for row in sigma_labelings(ds, 0.0)]
+            cases.append((ds, sorted(margins)[len(margins) // 2]))
+        for ds, optimum in cases:
+            margin = optimum - TAU + offset
+            assert drained(_extension_labelings, ds, margin) == drained(sigma_labelings, ds, margin)
+
+    def test_one_dedupe_per_decision(self, monkeypatch):
+        calls = []
+
+        def recording(points):
+            calls.append(points.shape[0])
+            return dedupe_directions(points)
+
+        monkeypatch.setattr("vclab.montecarlo.dedupe_directions", recording)
+        for p, sat in ((4, True), (30, False)):
+            calls.clear()
+            ds = sample_dataset(PAIRS_HALF, 3, p, Rng(73))
+            assert admissible_exists(ds).sat == sat
+            assert calls == [2 * p]  # the whole dataset, once, prefixes included
 
 
 class TestExistence:
@@ -264,38 +372,48 @@ def antipodal_pairs(n: int, p: int, seed: int) -> Dataset:
 
 @pytest.fixture
 def scans(monkeypatch):
-    """Record the number of multiplets of every backend scan."""
+    """Record the number of multiplets of every cell scan."""
     seen = []
 
-    def recording(labelings):
-        def wrapper(dataset, margin):
-            seen.append(dataset.p)
-            return labelings(dataset, margin)
+    def recording(dataset, directions):
+        seen.append(dataset.p)
+        return _cells_labelings(dataset, directions)
 
-        return wrapper
+    monkeypatch.setattr("vclab.montecarlo._cells_labelings", recording)
+    return seen
 
-    monkeypatch.setattr("vclab.montecarlo._cells_labelings", recording(_cells_labelings))
-    monkeypatch.setattr("vclab.montecarlo._sigma_labelings", recording(_sigma_labelings))
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Record the number of rows of every extension-engine solve."""
+    seen = []
+
+    def recording(points):
+        seen.append(points.shape[0])
+        return min_norm_point(points)
+
+    monkeypatch.setattr("vclab.montecarlo.min_norm_point", recording)
     return seen
 
 
 class TestPrefixCertificate:
     def test_matches_full_set_scan(self):
-        # the whole-dataset scan without prefixes is the oracle for both the
-        # decision and the exact count
+        # the whole-dataset cell scan without prefixes, or the sign-vector
+        # oracle where the engine decides, is the oracle for both the decision
+        # and the exact count
         cases = [
             (StructureSpec.pairs(rho), 3, p, 0.0, "cells")
             for rho in (-1.0, -0.5, 0.0, 0.5, 0.8, 1.0)
             for p in (6, 9, 17, 30)
         ]
-        cases += [(UNSTRUCTURED, 3, p, 0.5, "cells") for p in (9, 12, 17)]
-        cases += [(PAIRS_HALF, 8, 10, 0.0, "sigma")]
-        cases += [(UNSTRUCTURED, 4, p, 0.5, "sigma") for p in (9, 10)]
+        cases += [(UNSTRUCTURED, 3, p, 0.5, "extension") for p in (9, 12)]
+        cases += [(PAIRS_HALF, 8, 10, 0.0, "extension")]
+        cases += [(UNSTRUCTURED, 4, p, 0.5, "extension") for p in (9, 10)]
         past_first_prefix = Counter()
         for i, (spec, n, p, margin, method) in enumerate(cases):
             for t in range(3):
                 ds = sample_dataset(spec, n, p, Rng(61, (i, t)))
-                labelings = _cells_labelings if method == "cells" else _sigma_labelings
+                labelings = cells_labelings if method == "cells" else sigma_labelings
                 count = len(list(labelings(ds, margin)))
                 sat = count > 0
                 exists = admissible_exists(ds, margin=margin)
@@ -304,34 +422,43 @@ class TestPrefixCertificate:
                 assert exists.sat == sat
                 assert (full.count, full.sat) == (count, sat)
                 assert exists.enumerated == (not sat) and full.enumerated
-                past_first_prefix[method, sat] += p > 8
-        # both outcomes of both backends reach the prefix loop
-        assert len(past_first_prefix) == 4 and min(past_first_prefix.values()) >= 2
+                if method == "cells":
+                    past_first_prefix[sat] += p > 8
+        # both outcomes of the cell scan reach the prefix loop
+        assert len(past_first_prefix) == 2 and min(past_first_prefix.values()) >= 2
 
-    @pytest.mark.parametrize("n, method", [(3, "cells"), (10, "sigma")])
-    def test_unsat_prefix_decides_the_dataset(self, scans, n, method):
+    @pytest.mark.parametrize("n, method", [(3, "cells"), (10, "extension")])
+    def test_unsat_prefix_decides_the_dataset(self, scans, solves, n, method):
         ds = antipodal_pairs(n, 20, 62)
         for probe in (admissible_exists(ds), count_admissible_dichotomies(ds)):
             assert (probe.count, probe.sat, probe.enumerated) == (0, False, True)
             assert probe.method == method
-        assert scans == [8, 8]  # the full set is never scanned
+        if method == "cells":
+            assert scans == [8, 8]  # the full set is never scanned
+        else:
+            assert solves == [2, 2]  # one solve on the root pair per probe
 
     def test_sat_prefixes_fall_through_to_the_full_set(self, scans):
         ds = sample_dataset(StructureSpec.pairs(1.0), 3, 20, Rng(63))
         assert count_admissible_dichotomies(ds).count == cover_count_exact(3, 20)
         assert scans == [8, 16, 20]
 
-    def test_budget_errors_unchanged(self):
-        # a sigma scan beyond its budget raises although q=8 is UNSAT
+    def test_budget_errors_unchanged(self, monkeypatch):
+        # past the cell budget at p > 22 the engine decides what the cell scan
+        # refuses (q=8 is SAT here, so no prefix decides the dataset)
+        pairs = sample_dataset(PAIRS_HALF, 9, 24, Rng(65))
+        prefix = Dataset(spec=pairs.spec, n=pairs.n, p=8, points=pairs.points[:8])
+        assert admissible_exists(prefix).sat
+        assert admissible_exists(pairs) == SatProbe(1, True, False, "extension")
+        # the engine refuses a probe past MAX_SOLVES solves, and decides it
+        # within them: 3 solves certify this UNSAT
         ds = sample_dataset(UNSTRUCTURED, 4, 23, Rng(64))
-        prefix = Dataset(spec=ds.spec, n=ds.n, p=8, points=ds.points[:8])
-        assert not admissible_exists(prefix, margin=0.99).sat
-        with pytest.raises(BudgetError):
-            admissible_exists(ds, margin=0.99)
-        # past the sigma budget a cell scan beyond its budget raises once no
-        # prefix decides the dataset (q=8 is SAT here)
-        with pytest.raises(BudgetError):
-            admissible_exists(sample_dataset(PAIRS_HALF, 9, 24, Rng(65)))
+        monkeypatch.setattr("vclab.montecarlo.MAX_SOLVES", 2)
+        for args in ((ds, 0.99), (pairs, 0.0)):
+            with pytest.raises(BudgetError):
+                admissible_exists(*args)
+        monkeypatch.setattr("vclab.montecarlo.MAX_SOLVES", 3)
+        assert admissible_exists(ds, margin=0.99) == SatProbe(0, False, True, "extension")
 
 
 class TestRandomClassifierProbe:
@@ -552,7 +679,9 @@ class TestPool:
         sat_fraction_scan(PAIRS_HALF, 3, [1.0], 1, Rng(59), threads=64)
         assert [pool.max_workers for pool in pools] == [3]
 
-    def test_worker_error_cancels_queued_trials(self, pools):
+    def test_worker_error_cancels_queued_trials(self, pools, monkeypatch):
+        # the p = 10 trials decide in 3 and 5 solves, the first p = 24 one needs 10
+        monkeypatch.setattr("vclab.montecarlo.MAX_SOLVES", 5)
         with pytest.raises(BudgetError):
             sat_fraction_scan(PAIRS_HALF, 10, [1, 2.4], 2, Rng(60), threads=2)
         assert [pool.shutdowns for pool in pools] == [[True]]

@@ -5,15 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from vclab.errors import ValidationError
+from vclab.errors import BudgetError, ValidationError
 from vclab.montecarlo import Dataset, _cells_labelings, sample_dataset
 from vclab.numerics import Rng
 from vclab.recursion import cover_count_exact
 from vclab.separability import (
     TAU,
     dedupe_directions,
+    cell_scan_cost,
     max_margin,
     min_norm_point,
+    sign_pattern_blocks,
 )
 from vclab.structure import StructureSpec
 
@@ -29,7 +31,7 @@ def realizable_sign_patterns(points: np.ndarray) -> np.ndarray:
     data = Dataset(
         spec=StructureSpec.unstructured(), n=pts.shape[1], p=pts.shape[0], points=pts[:, None, :]
     )
-    return np.array(list(_cells_labelings(data, 0.0)), dtype=np.int8)
+    return np.array(list(_cells_labelings(data, dedupe_directions(pts))), dtype=np.int8)
 
 
 def dedupe_loop(points: np.ndarray):
@@ -214,6 +216,14 @@ class TestCellEnumeration:
             cells = realizable_sign_patterns(pts)
             assert len(cells) == cover_count_exact(n, p)
 
+    def test_budget_refused_before_any_block(self):
+        # C(6000, 2) * 4 = 7.2e7 candidates in rank 3, past the 5e7 budget
+        pts = Rng(10).generator().standard_normal((6000, 3))
+        assert cell_scan_cost(6000, 3) == math.inf
+        blocks = sign_pattern_blocks(pts)
+        with pytest.raises(BudgetError, match="random-classifier probe"):
+            next(blocks)
+
 
 class TestDedupe:
     def test_groups(self):
@@ -245,3 +255,25 @@ class TestDedupe:
                 assert got.dtype == want.dtype
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
+
+    def test_prefix_slice_matches_prefix_dedupe(self):
+        # representatives are numbered by first occurrence, so slicing the
+        # dedupe of the whole set gives the dedupe of each prefix byte for byte
+        inputs = [
+            sample_dataset(StructureSpec.pairs(rho), 3, 30, Rng(32, t)).flat
+            for rho in (-1.0, -0.5, 0.0, 0.5, 1.0)
+            for t in range(2)
+        ]
+        gen = Rng(33).generator()
+        for _ in range(4):
+            x = gen.standard_normal((20, 3))
+            picks = gen.integers(0, 20, size=10)
+            signs = np.where(gen.random(10) < 0.5, -1.0, 1.0)[:, None]
+            inputs.append(gen.permutation(np.vstack([x, signs * x[picks]])))
+        for pts in inputs:
+            reps, idx, sgn = dedupe_directions(pts)
+            for m in range(1, pts.shape[0] + 1):
+                sliced = (reps[: idx[:m].max() + 1], idx[:m], sgn[:m])
+                for got, want in zip(sliced, dedupe_directions(pts[:m])):
+                    assert got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes()
