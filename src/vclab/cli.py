@@ -35,7 +35,7 @@ import os
 import sys
 from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 
@@ -298,8 +298,7 @@ OPTIONS: dict[str, Option] = {
     "probe": Option("--probe", _TEXT, "SAT decision", _one_of("enumerate", "random-classifier")),
     "num_weights": Option("--num-weights", _INT, "random weights per probe", _at_least(1)),
     "with_counts": Option("--with-counts", _SWITCH, "also count each sampled dataset exactly"),
-    "trials": Option("--trials", _INT, "Monte Carlo trials per point (count: 0 = analytic only)",
-                     _at_least(0)),
+    "trials": Option("--trials", _INT, "Monte Carlo trials per point", _at_least(1)),
     "window": Option("--window", _FLOAT, "relative half-width of the load window",
                      _Rule(lambda x: 0 < x < 1, "inside (0, 1)")),
     "points": Option("--points", _INT, "grid points per curve", _at_least(2)),
@@ -313,10 +312,11 @@ OPTIONS: dict[str, Option] = {
 }
 
 
-def _merge_config(args: argparse.Namespace, options: dict) -> dict:
+def _merge_config(args: argparse.Namespace, command: "_Command") -> dict:
     """Precedence: command-line flags > config file > defaults.  Every value
     of a key in `OPTIONS` is converted to its kind; the command's own
-    ``options`` must also obey their rules."""
+    options must also obey their rules."""
+    options = command.options
     cfg = {key: value for key, value in options.items() if value is not None}
     if args.config:
         try:
@@ -340,7 +340,7 @@ def _merge_config(args: argparse.Namespace, options: dict) -> dict:
             cfg[key] = OPTIONS[key].convert(key, value)
     for key in options:
         if key in cfg:
-            OPTIONS[key].check(key, cfg[key])
+            command.option(key).check(key, cfg[key])
     return cfg
 
 
@@ -666,12 +666,18 @@ def cmd_psi(cfg: dict) -> int:
 
 @dataclass(frozen=True)
 class _Command:
-    """A subcommand: its function, its one-line help, and the keys of the
-    options it takes with their defaults (None: unset)."""
+    """A subcommand: its function, its one-line help, the keys of the
+    options it takes with their defaults (None: unset), and the fields of
+    `OPTIONS` rows it replaces for itself (such as a lower minimum)."""
 
     run: Callable[[dict], int]
     help: str
     options: dict
+    overrides: dict = field(default_factory=dict)  # key -> {Option field: value}
+
+    def option(self, key: str) -> Option:
+        """The row of `OPTIONS` for this command."""
+        return replace(OPTIONS[key], **self.overrides.get(key, {}))
 
 
 _ALL_CORES = os.cpu_count() or 1
@@ -680,7 +686,9 @@ COMMANDS: dict[str, _Command] = {
     "count": _Command(cmd_count, "entropy curves from the recursion and/or Monte Carlo", {
         "k": None, "rho": None, "n_list": [], "alpha_grid": [], "trials": 0,
         "out": "count.csv", "plot_script": None,
-        "seed": 0, "threads": 1}),
+        "seed": 0, "threads": 1},
+        overrides={"trials": {"help": "Monte Carlo trials per point, 0 = analytic only",
+                              "rule": _at_least(0)}}),
     "transition": _Command(cmd_transition, "one critical load as JSON", {
         "method": METHOD_COMBINATORIAL, "rho": None, "kappa": None,
         "theta0": None, "theta1": 1.0}),
@@ -711,7 +719,7 @@ def build_parser() -> _Parser:
         sub = subs.add_parser(name, help=command.help)
         sub.add_argument("--config", help="JSON config file; flags override its values")
         for key, default in command.options.items():
-            opt = OPTIONS[key]
+            opt = command.option(key)
             if opt.kind is _SWITCH:
                 how = {"action": "store_const", "const": True}
             else:
@@ -726,7 +734,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         command = COMMANDS[args.command]
-        cfg = _merge_config(args, command.options)
+        cfg = _merge_config(args, command)
         print("# config: " + json.dumps(cfg, sort_keys=True, default=str), file=sys.stderr)
         return command.run(cfg)
     except BudgetError as exc:

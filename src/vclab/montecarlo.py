@@ -19,8 +19,13 @@ it:
   Realizability is monotone in the multiplet set, so the cost is the number
   of realizable prefix labelings, not 2^p.  Each node carries a unit
   witness w; a child whose new points all clear margin + TAU along w needs
-  no solve, any other costs one min-norm-point solve.  Refused past
-  `MAX_SOLVES` solves.
+  no solve.  A child is UNSAT when two of its signed points span a segment
+  nearer the origin than margin + TAU by 1e-12 (that segment's margin
+  bounds the whole set's), and a pair table built once per probe refuses it
+  without a solve.
+  Any other child costs one min-norm-point solve, warm-started from the
+  final corral of the last solve on its path, whose rows begin its own.
+  Refused past `MAX_SOLVES` solves.
 * `random_classifier_probe`: sample random directions and read off the
   labelings they induce; a lower bound on the count and a SAT witness
   finder, with no UNSAT certificate.
@@ -63,11 +68,12 @@ from .separability import (
     cell_scan_cost,
     dedupe_directions,
     max_margin,
-    min_norm_point,
+    min_norm_corral,
     numerical_rank,
     sign_pattern_blocks,
 )
-from .structure import StructureSpec, sample_multiplet
+from .structure import StructureSpec, sample_multiplets
+from .structure import sample_multiplet  # noqa: F401  (a traced name of bench/spans.py)
 
 METHOD_FULL_RANK = "full-rank"
 METHOD_CELLS = "cells"
@@ -75,17 +81,19 @@ METHOD_EXTENSION = "extension"
 METHOD_RANDOM = "random-classifier"
 
 # Most min-norm-point solves of one extension probe: more than the prefix
-# tree of p = 22 multiplets has nodes, 30-40 min at 0.43-0.56 ms per solve.
+# tree of p = 22 multiplets has nodes, 10-22 min at 0.15-0.31 ms per
+# warm-started solve (counting pairs at n = 6-10, p = 8-24, 2-core Xeon).
 MAX_SOLVES = 2**22
 
 # Cost of one margin solve in candidate patterns of a cell scan
 # (`cell_scan_cost`), which prices the extension engine at margin 0 by its
 # worst case of 2^(p-1) solves.  Measured on a 2-core Xeon, counting pairs at
-# n = 6-8, p = 8-10: a solve took 0.43-0.56 ms, a candidate 0.55-0.67 us,
-# ratio 710-850.
+# n = 6-8, p = 8-10, before solves were warm-started: a solve took
+# 0.43-0.56 ms, a candidate 0.55-0.67 us, ratio 710-850.
 MARGIN_SOLVE_COST = 800
 
 _COUNT = "count"  # trial probe tag: full exact count instead of a SAT decision
+_PAIR_ROWS = 512  # most points whose pairs `_pair_conflicts` tabulates
 _WEIGHT_BATCH = 16384  # random directions drawn at once by `random_classifier_probe`
 
 
@@ -136,12 +144,11 @@ class PhasePoint:
 def sample_dataset(
     spec: StructureSpec, n: int, p: int, rng: Rng | np.random.Generator
 ) -> Dataset:
-    """p independent multiplets under the flat constrained measure."""
+    """p independent multiplets under the flat constrained measure, drawn
+    as one stack (the same points as p `sample_multiplet` calls in a row)."""
     if p < 1:
         raise ValidationError(f"need p >= 1, got {p}")
-    gen = rng.generator() if isinstance(rng, Rng) else rng
-    pts = np.stack([sample_multiplet(spec, n, gen) for _ in range(p)])
-    return Dataset(spec=spec, n=n, p=p, points=pts)
+    return Dataset(spec=spec, n=n, p=p, points=sample_multiplets(spec, n, p, rng))
 
 
 def _pick_method(dataset: Dataset, margin: float) -> tuple[str, tuple | None]:
@@ -192,22 +199,57 @@ def _cells_labelings(dataset: Dataset, directions: tuple) -> Iterator[np.ndarray
             yield row
 
 
+def _pair_conflicts(points: np.ndarray, bar: float) -> tuple[np.ndarray, np.ndarray]:
+    """Two (m, m) tables over the first m = min(p, _PAIR_ROWS // k)
+    multiplets: ``same[i, j]`` when multiplets i and j cannot carry equal
+    signs, ``flip[i, j]`` when they cannot carry opposite ones.  Each holds
+    when two of their signed points (or one point, i = j) span a segment
+    within bar - 1e-12 of the origin: that pair's margin bounds the margin
+    of any set holding it, so the labeling is UNSAT.  The slack leaves
+    at-the-bar segments to the margin solve."""
+    p, k, n = points.shape
+    m = min(p, _PAIR_ROWS // k)
+    x = points[:m].reshape(m * k, n)
+    g = x @ x.T
+    sq = np.diag(g)
+    lo = np.minimum(sq[:, None], sq[None, :])
+    reach = (bar - 1e-12) ** 2
+
+    def close(uv):
+        # squared distance from the origin to the segment [u, v]: the nearer
+        # endpoint when u . v >= min(|u|^2, |v|^2), else the foot of the
+        # perpendicular, |u|^2 |v|^2 sin^2 / |u - v|^2
+        span = sq[:, None] + sq[None, :] - 2 * uv
+        dist2 = np.divide(sq[:, None] * sq[None, :] - uv * uv, span, out=lo.copy(), where=uv < lo)
+        return (dist2 < reach).reshape(m, k, m, k).any(axis=(1, 3))
+
+    return close(g), close(-g)
+
+
 def _extension_labelings(dataset: Dataset, margin: float) -> Iterator[np.ndarray]:
     """Yield each admissible labeling realizable above the margin once, by
     extending realizable prefix labelings depth first (see the module
     docstring); `BudgetError` past `MAX_SOLVES` solves."""
     p, k = dataset.p, dataset.spec.k
     bar = margin + TAU
+    same, flip = _pair_conflicts(dataset.points, bar)
     signed = np.empty((p * k, dataset.n))  # row block j: multiplet j times its sign
     labels = np.empty(p, dtype=np.int8)
     solves = 0
-    stack = [(0, 1, None)]  # (depth, sign, the parent's witness if that child is free)
+    # (depth, sign, the parent's witness if that child is free, the corral and
+    # weights of the last solve on its path)
+    stack = [(0, 1, None, (None, None))]
     while stack:
-        j, s, w = stack.pop()
+        j, s, w, start = stack.pop()
         end = (j + 1) * k
-        signed[j * k : end] = s * dataset.points[j]
         labels[j] = s
         certified = w is not None
+        # a pair of multiplets the prefix labels in conflict: UNSAT, no solve
+        if not certified and j < len(same):
+            row = labels[: j + 1] == s
+            if (row & same[j, : j + 1]).any() or (~row[:j] & flip[j, :j]).any():
+                continue
+        signed[j * k : end] = s * dataset.points[j]
         if not certified:
             if solves == MAX_SOLVES:
                 raise BudgetError(
@@ -215,24 +257,25 @@ def _extension_labelings(dataset: Dataset, margin: float) -> Iterator[np.ndarray
                     "use the random-classifier probe, which has no budget"
                 )
             solves += 1
-            d = min_norm_point(signed[:end])
+            # warm start: the rows of the last solve on this path begin these
+            d, *start = min_norm_corral(signed[:end], *start)
             norm = float(np.linalg.norm(d))
             if norm <= bar:
                 continue
             w = d / norm
             # only a witness that clears the bar on every row frees children,
             # so the Wolfe tolerance never enters a certificate
-            certified = bool(np.all(signed[:end] @ w > bar))
+            certified = bool((signed[:end] @ w).min() > bar)
         if end == p * k:
             yield labels.copy()
             yield -labels
             continue
         # at most one child is free (bar > 0); it goes first, else sign +1
         field = dataset.points[j + 1] @ w
-        first = -1 if certified and np.all(-field > bar) else 1
-        free = certified and bool(np.all(first * field > bar))
-        stack.append((j + 1, -first, None))
-        stack.append((j + 1, first, w if free else None))
+        first = -1 if certified and (-field).min() > bar else 1
+        free = certified and (first * field).min() > bar
+        stack.append((j + 1, -first, None, start))
+        stack.append((j + 1, first, w if free else None, start))
 
 
 def _probe(dataset: Dataset, margin: float, limit: int | None) -> SatProbe:

@@ -2,8 +2,8 @@
 
 The small amount of machinery the rest of the package needs with
 non-standard semantics: reproducible counter-style random streams,
-bisection on a bracket and Haar-random orthonormal frames.  Special
-functions come straight from :mod:`math`.
+bisection on a bracket and Haar-random orthonormal frames, one at a time
+or stacked.  Special functions come straight from :mod:`math`.
 
 Counts are kept in natural-log domain throughout the package; ``-inf``
 encodes an exact zero count.
@@ -101,3 +101,20 @@ def sample_orthonormal_frame(n: int, k: int, rng: Rng | np.random.Generator) -> 
     q, r = np.linalg.qr(gauss)
     q = q * np.sign(np.diag(r))
     return q.T
+
+
+def sample_orthonormal_frames(
+    n: int, k: int, count: int, rng: Rng | np.random.Generator
+) -> np.ndarray:
+    """``count`` independent frames of `sample_orthonormal_frame` as one
+    (count, k, n) array: one Gaussian draw and one stacked QR, bit-identical
+    to ``count`` calls in a row on the same generator."""
+    if k > n:
+        raise DimensionError(f"cannot fit {k} orthonormal rows in R^{n}")
+    if k < 1 or n < 1:
+        raise ValidationError("n and k must be >= 1")
+    gen = rng.generator() if isinstance(rng, Rng) else rng
+    gauss = gen.standard_normal((count, n, k))
+    q, r = np.linalg.qr(gauss)
+    q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    return q.transpose(0, 2, 1)

@@ -42,6 +42,7 @@ TAU = 1e-9
 DEGENERACY_TOL = 1e-9
 
 _MNP_TOL = 1e-13
+_ZERO = np.zeros(1)
 
 
 def _affine_minimizer(points: np.ndarray) -> np.ndarray:
@@ -64,44 +65,53 @@ def _affine_minimizer(points: np.ndarray) -> np.ndarray:
 
 
 def min_norm_point(points: np.ndarray) -> np.ndarray:
-    """Minimum-norm point of the convex hull of the rows (Wolfe's algorithm).
+    """Minimum-norm point of the convex hull of the rows (Wolfe's algorithm),
+    from a cold start at the shortest row; see `min_norm_corral`."""
+    x_rows = np.asarray(points, dtype=float)
+    if x_rows.ndim != 2 or x_rows.shape[0] < 1:
+        raise ValidationError("min_norm_point needs a nonempty 2-D point array")
+    return min_norm_corral(x_rows)[0]
+
+
+def min_norm_corral(
+    x_rows: np.ndarray, corral: list[int] | None = None, lam: np.ndarray | None = None
+) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """Wolfe's minimum-norm-point algorithm on the rows of a float array,
+    returning (d, corral, lam) with d = lam @ x_rows[corral].
 
     Maintains a corral of affinely independent rows; alternates between
     adding the row most violating the support condition
     min_j x_j . d >= |d|^2 and pruning the corral to keep the affine
     minimizer inside the simplex.  Terminates at the exact optimum up to
-    the support tolerance.
+    the support tolerance.  It starts from ``corral`` with positive weights
+    ``lam`` summing to 1 (a warm start, such as the final corral of a
+    prefix of the rows), or, when none is given, from the shortest row.
     """
-    x_rows = np.asarray(points, dtype=float)
-    if x_rows.ndim != 2 or x_rows.shape[0] < 1:
-        raise ValidationError("min_norm_point needs a nonempty 2-D point array")
     m = x_rows.shape[0]
-    scale = max(float(np.max(np.einsum("ij,ij->i", x_rows, x_rows))), 1.0)
-    start = int(np.argmin(np.einsum("ij,ij->i", x_rows, x_rows)))
-    corral = [start]
-    lam = np.array([1.0])
-    d = x_rows[start].copy()
+    norms = np.einsum("ij,ij->i", x_rows, x_rows)
+    scale = max(float(norms.max()), 1.0)
+    if corral is None:
+        corral, lam = [int(norms.argmin())], np.ones(1)
+    else:
+        corral = list(corral)  # grown below; a warm start may serve several calls
+    d = lam @ x_rows[corral]
     for _ in range(16 * m + 64):
         dots = x_rows @ d
-        j = int(np.argmin(dots))
-        if dots[j] > d @ d - _MNP_TOL * scale:
+        j = int(dots.argmin())
+        # j in corral: an arithmetic stall, d is optimal to working precision
+        if dots[j] > d @ d - _MNP_TOL * scale or j in corral:
             break
-        if j in corral:
-            break  # arithmetic stall; d is optimal to working precision
         corral.append(j)
-        lam = np.append(lam, 0.0)
+        lam = np.concatenate((lam, _ZERO))
         while True:
-            sub = x_rows[corral]
-            w = _affine_minimizer(sub)
-            if np.all(w > 1e-12):
+            w = _affine_minimizer(x_rows[corral])
+            if w.min() > 1e-12:
                 lam = w
                 break
             # step toward w until the first coefficient hits zero, drop it
             shrink = lam - w
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(shrink > 1e-15, lam / shrink, np.inf)
-            ratios[w > 1e-12] = np.inf
-            theta = min(1.0, float(ratios.min()))
+            blocking = (shrink > 1e-15) & (w <= 1e-12)
+            theta = min(1.0, float((lam[blocking] / shrink[blocking]).min(initial=np.inf)))
             lam = (1.0 - theta) * lam + theta * w
             lam[lam < 1e-12] = 0.0
             keep = lam > 0.0
@@ -112,7 +122,7 @@ def min_norm_point(points: np.ndarray) -> np.ndarray:
             lam = lam[keep]
             lam = lam / lam.sum()
         d = lam @ x_rows[corral]
-    return d
+    return d, corral, lam
 
 
 def max_margin(points: np.ndarray, signs: np.ndarray) -> float:

@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedStructureError,
     ValidationError,
 )
-from .numerics import Rng, sample_orthonormal_frame
+from .numerics import Rng, sample_orthonormal_frame, sample_orthonormal_frames
 
 # Pivots within _PIVOT_TOL of zero are zero, so rank-deficient overlaps such
 # as the coincident pair rho=1 factor cleanly; a lower pivot is indefinite.
@@ -240,6 +240,17 @@ def sample_multiplet(
         raise DimensionError(f"need n >= k, got n={n}, k={spec.k}")
     frame = sample_orthonormal_frame(n, spec.k, rng)
     return spec._chol @ frame
+
+
+def sample_multiplets(
+    spec: StructureSpec, n: int, count: int, rng: Rng | np.random.Generator
+) -> np.ndarray:
+    """``count`` multiplets as one (count, k, n) array, from one stacked
+    frame draw: bit-identical to ``count`` `sample_multiplet` calls in a row
+    on the same generator."""
+    if n < spec.k:
+        raise DimensionError(f"need n >= k, got n={n}, k={spec.k}")
+    return spec._chol @ sample_orthonormal_frames(n, spec.k, count, rng)
 
 
 def psi_m_estimate(

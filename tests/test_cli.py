@@ -186,14 +186,17 @@ class TestMc:
             "--alpha", "1,2", "--trials", "0", "--out", str(tmp_path / "x.csv"),
         )
         assert code == 1
+        # refused by the option check, before any command runs
+        assert json.loads(out)["message"] == "trials (--trials) must be >= 1, got 0"
+        assert not (tmp_path / "x.csv").exists()
 
     def test_budget_exit_code_and_hint(self, capsys, tmp_path, monkeypatch):
-        # past the cell budget at margin 0, and at a margin: the extension
-        # engine decides both within 11 and 3 solves, so a budget of 2 refuses
+        # past the cell budget at margin 0, and at a margin: the first trials
+        # need 140 and 3 extension-engine solves, so a budget of 2 refuses both
         monkeypatch.setattr("vclab.montecarlo.MAX_SOLVES", 2)
         for load in (
             ("--mode", "pairs", "--rho", "0.5", "--n", "10", "--alpha", "2.4", "--trials", "2"),
-            ("--mode", "margin", "--kappa", "0.99", "--n", "4", "--alpha", "5.75", "--trials", "1"),
+            ("--mode", "margin", "--kappa", "0.6", "--n", "4", "--alpha", "5.75", "--trials", "1"),
         ):
             code, out, _ = run(
                 capsys, "mc", *load, "--threads", "1", "--out", str(tmp_path / "x.csv")
@@ -543,6 +546,18 @@ class TestOptionTable:
         payload = json.loads(out)
         assert payload["error"] == "ValidationError"
         assert f"config value {key}=" in payload["message"]
+
+    @pytest.mark.parametrize("command, low", [("count", 0), ("mc", 1), ("phase-diagram", 1)])
+    def test_trials_minimum_per_command(self, capsys, tmp_path, command, low):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert re.search(rf"--trials INT [^;]*; >= {low}; default", text)
+        argv = [command, *SEEDED[command], "--trials", str(low - 1), "--out", str(tmp_path / "x")]
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert json.loads(out)["message"] == f"trials (--trials) must be >= {low}, got {low - 1}"
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_help_lists_the_table_flags(self, capsys, command):

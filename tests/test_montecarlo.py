@@ -7,13 +7,14 @@ from itertools import product
 import numpy as np
 import pytest
 
-from vclab.errors import BudgetError, ValidationError
+from vclab.errors import BudgetError, DimensionError, ValidationError
 from vclab.montecarlo import (
     Dataset,
     PhasePoint,
     SatProbe,
     _cells_labelings,
     _extension_labelings,
+    _pair_conflicts,
     _pick_method,
     admissible_exists,
     count_admissible_dichotomies,
@@ -25,7 +26,14 @@ from vclab.montecarlo import (
 )
 from vclab.numerics import Rng
 from vclab.recursion import build_count_table, cover_count_exact
-from vclab.separability import TAU, dedupe_directions, max_margin, min_norm_point
+from vclab.separability import (
+    _MNP_TOL,
+    TAU,
+    _affine_minimizer,
+    dedupe_directions,
+    max_margin,
+    min_norm_corral,
+)
 from vclab.structure import StructureSpec, psi2, sample_multiplet, theta_coefficients
 
 UNSTRUCTURED = StructureSpec.unstructured()
@@ -47,12 +55,58 @@ def cells_labelings(dataset: Dataset, margin: float = 0.0):
     return _cells_labelings(dataset, dedupe_directions(dataset.flat))
 
 
+def cold_min_norm_point(points: np.ndarray) -> np.ndarray:
+    """Wolfe's algorithm as it stood before the warm start: always from the
+    shortest row (kept verbatim as the oracle of the engine)."""
+    x_rows = np.asarray(points, dtype=float)
+    m = x_rows.shape[0]
+    scale = max(float(np.max(np.einsum("ij,ij->i", x_rows, x_rows))), 1.0)
+    start = int(np.argmin(np.einsum("ij,ij->i", x_rows, x_rows)))
+    corral = [start]
+    lam = np.array([1.0])
+    d = x_rows[start].copy()
+    for _ in range(16 * m + 64):
+        dots = x_rows @ d
+        j = int(np.argmin(dots))
+        if dots[j] > d @ d - _MNP_TOL * scale:
+            break
+        if j in corral:
+            break  # arithmetic stall; d is optimal to working precision
+        corral.append(j)
+        lam = np.append(lam, 0.0)
+        while True:
+            sub = x_rows[corral]
+            w = _affine_minimizer(sub)
+            if np.all(w > 1e-12):
+                lam = w
+                break
+            # step toward w until the first coefficient hits zero, drop it
+            shrink = lam - w
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios = np.where(shrink > 1e-15, lam / shrink, np.inf)
+            ratios[w > 1e-12] = np.inf
+            theta = min(1.0, float(ratios.min()))
+            lam = (1.0 - theta) * lam + theta * w
+            lam[lam < 1e-12] = 0.0
+            keep = lam > 0.0
+            if keep.all():
+                lam = lam / lam.sum()
+                break
+            corral = [c for c, kp in zip(corral, keep) if kp]
+            lam = lam[keep]
+            lam = lam / lam.sum()
+        d = lam @ x_rows[corral]
+    return d
+
+
 def sigma_labelings(dataset: Dataset, margin: float):
     """The sign-vector oracle: each sigma with sigma_1 = +1 checked with one
-    `max_margin` solve on the whole dataset, then yielded with -sigma."""
+    cold-start min-norm-point solve on the whole signed dataset, then
+    yielded with -sigma."""
     for bits in product((1, -1), repeat=dataset.p - 1):
         labels = np.array((1,) + bits, dtype=np.int8)
-        if max_margin(dataset.flat, np.repeat(labels, dataset.spec.k)) > margin + TAU:
+        signed = np.repeat(labels, dataset.spec.k)[:, None] * dataset.flat
+        if np.linalg.norm(cold_min_norm_point(signed)) > margin + TAU:
             yield labels
             yield -labels
 
@@ -89,6 +143,27 @@ class TestSampling:
         a = sample_dataset(PAIRS_HALF, 4, 3, Rng(7, 5))
         b = sample_dataset(PAIRS_HALF, 4, 3, Rng(7, 5))
         np.testing.assert_array_equal(a.points, b.points)
+
+    def test_stacked_draw_matches_one_multiplet_at_a_time(self):
+        # the oracle: p `sample_multiplet` calls in a row on the trial's stream
+        specs = [StructureSpec.equicorrelated(k, 0.3) for k in range(1, 6)]
+        specs += [StructureSpec.pairs(rho) for rho in (-1.0, -0.5, 0.0, 0.5, 1.0)]
+        for i, spec in enumerate(specs):
+            for p in (1, 2, 12, 81):
+                for n in sorted({spec.k, spec.k + 1, 8}):
+                    stream = Rng(8, (i, p, n))
+                    gen = stream.generator()
+                    oracle = np.stack([sample_multiplet(spec, n, gen) for _ in range(p)])
+                    points = sample_dataset(spec, n, p, stream).points
+                    assert points.shape == oracle.shape
+                    assert points.tobytes() == oracle.tobytes(), (i, p, n)
+
+    def test_sampling_validation(self):
+        with pytest.raises(DimensionError):
+            sample_dataset(StructureSpec.equicorrelated(3, 0.2), 2, 4, Rng(9))
+        for p in (0, -1):
+            with pytest.raises(ValidationError):
+                sample_dataset(PAIRS_HALF, 3, p, Rng(9))
 
 
 class TestCounting:
@@ -212,17 +287,17 @@ class TestCounting:
         monkeypatch.setattr("vclab.montecarlo.MAX_SOLVES", 10)
         with pytest.raises(BudgetError, match="random-classifier probe"):
             admissible_exists(ds)
-        # rank 4 at margin 0.99, p = 23: the count is 0 after 3 solves (the
-        # first point, then both signs of the second)
+        # rank 4 at margin 0.7, p = 23: the count is 0 after 3 solves on
+        # prefixes of 1, 2 and 5 points; the pair tables refuse every other child
         ds = sample_dataset(UNSTRUCTURED, 4, 23, Rng(18))
         monkeypatch.setattr("vclab.montecarlo.MAX_SOLVES", 3)
         solves.clear()
-        probe = count_admissible_dichotomies(ds, margin=0.99)
+        probe = count_admissible_dichotomies(ds, margin=0.7)
         assert probe == SatProbe(0, False, True, "extension")
-        assert solves == [1, 2, 2]
+        assert solves == [1, 2, 5]
         monkeypatch.setattr("vclab.montecarlo.MAX_SOLVES", 2)
         with pytest.raises(BudgetError):
-            count_admissible_dichotomies(ds, margin=0.99)
+            count_admissible_dichotomies(ds, margin=0.7)
 
     @pytest.mark.parametrize(
         "spec, n, p, margin, method",
@@ -271,9 +346,9 @@ def cone_points(cos: float, m: int) -> np.ndarray:
 class TestExtensionEngine:
     """The extension engine drained against the sign-vector oracle."""
 
-    MARGINS = (0.0, 0.3, 0.5, 0.99)
+    MARGINS = (0.0, 0.3, 0.5, 0.7, 0.99)
 
-    def test_differential_sweep(self):
+    def test_differential_sweep(self, monkeypatch, solves):
         datasets = []
         # k=1 data at ranks 1-8, in R^r and with a rank drop in R^(r+1)
         for r in range(1, 9):
@@ -289,13 +364,24 @@ class TestExtensionEngine:
             for n, p in ((3, 5), (5, 6)):
                 datasets.append(sample_dataset(StructureSpec.pairs(rho), n, p, Rng(71, (n, p))))
         datasets.append(sample_dataset(StructureSpec.equicorrelated(3, 0.2), 4, 6, Rng(72)))
-        disagreements = [
-            (i, margin)
-            for i, ds in enumerate(datasets)
-            for margin in self.MARGINS
-            if drained(_extension_labelings, ds, margin) != drained(sigma_labelings, ds, margin)
-        ]
+        disagreements = []
+        pruned = Counter()
+        for i, ds in enumerate(datasets):
+            for margin in self.MARGINS:
+                oracle = drained(sigma_labelings, ds, margin)
+                solves.clear()
+                if drained(_extension_labelings, ds, margin) != oracle:
+                    disagreements.append((i, margin))
+                pruned[margin] -= len(solves)
+                # without the pair tables every refused child costs a solve
+                with monkeypatch.context() as m:
+                    m.setattr("vclab.montecarlo._pair_conflicts", no_pair_conflicts)
+                    solves.clear()
+                    if drained(_extension_labelings, ds, margin) != oracle:
+                        disagreements.append((i, margin, "untabled"))
+                    pruned[margin] += len(solves)
         assert disagreements == []
+        assert pruned[0.0] >= 0 and min(pruned[m] for m in (0.5, 0.7, 0.99)) > 0
 
     @pytest.mark.parametrize("offset", [-1e-12, -1e-13, 0.0, 1e-13, 1e-12])
     def test_optimum_at_the_bar(self, offset):
@@ -305,6 +391,12 @@ class TestExtensionEngine:
             ds = points_dataset(rank_r_points(3, 3, 6, (3, t + 3)))
             margins = [max_margin(ds.flat, row) for row in sigma_labelings(ds, 0.0)]
             cases.append((ds, sorted(margins)[len(margins) // 2]))
+        if offset:
+            # a pair-attained optimum: two unit points at overlap c, whose
+            # equal signs have the margin of their midpoint, sqrt((1 + c) / 2)
+            for c in (-0.4, 0.3, 0.9):
+                pts = np.array([[1.0, 0.0], [c, math.sqrt(1 - c * c)]])
+                cases.append((points_dataset(pts), math.sqrt((1 + c) / 2)))
         for ds, optimum in cases:
             margin = optimum - TAU + offset
             assert drained(_extension_labelings, ds, margin) == drained(sigma_labelings, ds, margin)
@@ -357,6 +449,12 @@ class TestExistence:
             )
 
 
+def no_pair_conflicts(points: np.ndarray, bar: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pair tables that refuse nothing."""
+    same, flip = _pair_conflicts(points, bar)
+    return np.zeros_like(same), np.zeros_like(flip)
+
+
 def points_dataset(points: np.ndarray) -> Dataset:
     """k=1 data made of the given rows."""
     p, n = points.shape
@@ -388,11 +486,11 @@ def solves(monkeypatch):
     """Record the number of rows of every extension-engine solve."""
     seen = []
 
-    def recording(points):
+    def recording(points, *start):
         seen.append(points.shape[0])
-        return min_norm_point(points)
+        return min_norm_corral(points, *start)
 
-    monkeypatch.setattr("vclab.montecarlo.min_norm_point", recording)
+    monkeypatch.setattr("vclab.montecarlo.min_norm_corral", recording)
     return seen
 
 
@@ -436,7 +534,9 @@ class TestPrefixCertificate:
         if method == "cells":
             assert scans == [8, 8]  # the full set is never scanned
         else:
-            assert solves == [2, 2]  # one solve on the root pair per probe
+            # no solve: the pair tables refuse the root pair, whose points
+            # are antipodal
+            assert solves == []
 
     def test_sat_prefixes_fall_through_to_the_full_set(self, scans):
         ds = sample_dataset(StructureSpec.pairs(1.0), 3, 20, Rng(63))
@@ -451,14 +551,14 @@ class TestPrefixCertificate:
         assert admissible_exists(prefix).sat
         assert admissible_exists(pairs) == SatProbe(1, True, False, "extension")
         # the engine refuses a probe past MAX_SOLVES solves, and decides it
-        # within them: 3 solves certify this UNSAT
+        # within them: 4 solves certify this UNSAT (9 decide the pairs)
         ds = sample_dataset(UNSTRUCTURED, 4, 23, Rng(64))
-        monkeypatch.setattr("vclab.montecarlo.MAX_SOLVES", 2)
-        for args in ((ds, 0.99), (pairs, 0.0)):
+        monkeypatch.setattr("vclab.montecarlo.MAX_SOLVES", 3)
+        for args in ((ds, 0.7), (pairs, 0.0)):
             with pytest.raises(BudgetError):
                 admissible_exists(*args)
-        monkeypatch.setattr("vclab.montecarlo.MAX_SOLVES", 3)
-        assert admissible_exists(ds, margin=0.99) == SatProbe(0, False, True, "extension")
+        monkeypatch.setattr("vclab.montecarlo.MAX_SOLVES", 4)
+        assert admissible_exists(ds, margin=0.7) == SatProbe(0, False, True, "extension")
 
 
 class TestRandomClassifierProbe:

@@ -14,6 +14,7 @@ from vclab.separability import (
     dedupe_directions,
     cell_scan_cost,
     max_margin,
+    min_norm_corral,
     min_norm_point,
     sign_pattern_blocks,
 )
@@ -127,6 +128,20 @@ class TestMaxMargin:
             pts = gen.standard_normal((m, n))
             d = min_norm_point(pts)
             assert float((pts @ d).min()) >= float(d @ d) - 1e-9
+
+    def test_warm_start_from_a_prefix_corral(self):
+        # the final corral of a prefix of the rows is a feasible start for the
+        # whole set and reaches the cold start's optimum
+        gen = Rng(5).generator()
+        for _ in range(200):
+            m, n = int(gen.integers(2, 12)), int(gen.integers(1, 6))
+            pts = gen.standard_normal((m, n))
+            _, corral, lam = min_norm_corral(pts[: int(gen.integers(1, m))])
+            d, corral, lam = min_norm_corral(pts, corral, lam)
+            assert np.all(lam > 0) and lam.sum() == pytest.approx(1.0)
+            np.testing.assert_array_equal(d, lam @ pts[corral])
+            assert float((pts @ d).min()) >= float(d @ d) - 1e-9
+            assert np.linalg.norm(d) == pytest.approx(np.linalg.norm(min_norm_point(pts)), abs=1e-6)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
