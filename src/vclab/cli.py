@@ -35,7 +35,7 @@ import os
 import sys
 from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 
@@ -667,17 +667,17 @@ def cmd_psi(cfg: dict) -> int:
 @dataclass(frozen=True)
 class _Command:
     """A subcommand: its function, its one-line help, the keys of the
-    options it takes with their defaults (None: unset), and the fields of
-    `OPTIONS` rows it replaces for itself (such as a lower minimum)."""
+    options it takes with their defaults (None: unset), and its own rows for
+    keys whose `OPTIONS` row does not fit it (such as a lower minimum)."""
 
     run: Callable[[dict], int]
     help: str
     options: dict
-    overrides: dict = field(default_factory=dict)  # key -> {Option field: value}
+    own: dict[str, Option] = field(default_factory=dict)
 
     def option(self, key: str) -> Option:
-        """The row of `OPTIONS` for this command."""
-        return replace(OPTIONS[key], **self.overrides.get(key, {}))
+        """The option row this command uses for ``key``."""
+        return self.own.get(key, OPTIONS[key])
 
 
 _ALL_CORES = os.cpu_count() or 1
@@ -687,8 +687,8 @@ COMMANDS: dict[str, _Command] = {
         "k": None, "rho": None, "n_list": [], "alpha_grid": [], "trials": 0,
         "out": "count.csv", "plot_script": None,
         "seed": 0, "threads": 1},
-        overrides={"trials": {"help": "Monte Carlo trials per point, 0 = analytic only",
-                              "rule": _at_least(0)}}),
+        own={"trials": Option("--trials", _INT, "Monte Carlo trials per point, 0 = analytic only",
+                              _at_least(0))}),
     "transition": _Command(cmd_transition, "one critical load as JSON", {
         "method": METHOD_COMBINATORIAL, "rho": None, "kappa": None,
         "theta0": None, "theta1": 1.0}),

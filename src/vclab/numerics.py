@@ -86,29 +86,22 @@ def bisect_root(
 
 
 def sample_orthonormal_frame(n: int, k: int, rng: Rng | np.random.Generator) -> np.ndarray:
-    """k orthonormal rows in R^n, rotation-invariant in distribution.
-
-    Gaussian matrix followed by a sign-fixed QR; the Gaussian ensemble is
-    invariant under right-multiplication by any orthogonal matrix and QR is
-    equivariant, so the row frame carries the uniform (Haar) measure.
-    """
-    if k > n:
-        raise DimensionError(f"cannot fit {k} orthonormal rows in R^{n}")
-    if k < 1 or n < 1:
-        raise ValidationError("n and k must be >= 1")
-    gen = rng.generator() if isinstance(rng, Rng) else rng
-    gauss = gen.standard_normal((n, k))
-    q, r = np.linalg.qr(gauss)
-    q = q * np.sign(np.diag(r))
-    return q.T
+    """k orthonormal rows in R^n, rotation-invariant in distribution: one
+    frame of `sample_orthonormal_frames`."""
+    return sample_orthonormal_frames(n, k, 1, rng)[0]
 
 
 def sample_orthonormal_frames(
     n: int, k: int, count: int, rng: Rng | np.random.Generator
 ) -> np.ndarray:
-    """``count`` independent frames of `sample_orthonormal_frame` as one
-    (count, k, n) array: one Gaussian draw and one stacked QR, bit-identical
-    to ``count`` calls in a row on the same generator."""
+    """``count`` independent (k, n) frames of k orthonormal rows in R^n, as
+    one (count, k, n) array drawn in one go: bit-identical to ``count``
+    `sample_orthonormal_frame` calls in a row on the same generator.
+
+    Gaussian matrices followed by a sign-fixed QR; the Gaussian ensemble is
+    invariant under right-multiplication by any orthogonal matrix and QR is
+    equivariant, so each row frame carries the uniform (Haar) measure.
+    """
     if k > n:
         raise DimensionError(f"cannot fit {k} orthonormal rows in R^{n}")
     if k < 1 or n < 1:

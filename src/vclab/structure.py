@@ -28,7 +28,8 @@ from .errors import (
     UnsupportedStructureError,
     ValidationError,
 )
-from .numerics import Rng, sample_orthonormal_frame, sample_orthonormal_frames
+from .numerics import Rng, sample_orthonormal_frames
+from .numerics import sample_orthonormal_frame  # noqa: F401  (a traced name of bench/spans.py)
 
 # Pivots within _PIVOT_TOL of zero are zero, so rank-deficient overlaps such
 # as the coincident pair rho=1 factor cleanly; a lower pivot is indefinite.
@@ -230,16 +231,9 @@ def theta_coefficients(spec: StructureSpec) -> ThetaCoefficients:
 def sample_multiplet(
     spec: StructureSpec, n: int, rng: Rng | np.random.Generator
 ) -> np.ndarray:
-    """One multiplet: k unit vectors in R^n with the prescribed overlaps.
-
-    The Cholesky template of the overlap matrix is rotated by a uniform
-    random orthonormal frame, which realizes the flat measure conditioned on
-    the overlap constraints.  Returns a (k, n) array.
-    """
-    if n < spec.k:
-        raise DimensionError(f"need n >= k, got n={n}, k={spec.k}")
-    frame = sample_orthonormal_frame(n, spec.k, rng)
-    return spec._chol @ frame
+    """One multiplet: k unit vectors in R^n with the prescribed overlaps, as
+    a (k, n) array; one multiplet of `sample_multiplets`."""
+    return sample_multiplets(spec, n, 1, rng)[0]
 
 
 def sample_multiplets(
@@ -247,7 +241,12 @@ def sample_multiplets(
 ) -> np.ndarray:
     """``count`` multiplets as one (count, k, n) array, from one stacked
     frame draw: bit-identical to ``count`` `sample_multiplet` calls in a row
-    on the same generator."""
+    on the same generator.
+
+    The Cholesky template of the overlap matrix is rotated by a uniform
+    random orthonormal frame, which realizes the flat measure conditioned on
+    the overlap constraints.
+    """
     if n < spec.k:
         raise DimensionError(f"need n >= k, got n={n}, k={spec.k}")
     return spec._chol @ sample_orthonormal_frames(n, spec.k, count, rng)

@@ -380,6 +380,12 @@ class TestExtensionEngine:
                     if drained(_extension_labelings, ds, margin) != oracle:
                         disagreements.append((i, margin, "untabled"))
                     pruned[margin] += len(solves)
+                # tables for the first two multiplets only: deeper children
+                # are decided by their solves alone
+                with monkeypatch.context() as m:
+                    m.setattr("vclab.montecarlo._PAIR_ROWS", 2 * ds.spec.k)
+                    if drained(_extension_labelings, ds, margin) != oracle:
+                        disagreements.append((i, margin, "truncated"))
         assert disagreements == []
         assert pruned[0.0] >= 0 and min(pruned[m] for m in (0.5, 0.7, 0.99)) > 0
 
