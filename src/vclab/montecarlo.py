@@ -1,51 +1,47 @@
 """Disorder sampling and exact satisfiability probing.
 
-A trial samples p multiplets, then asks which admissible labelings (one
-sign per multiplet, shared by its k points) are realizable by a
-homogeneous linear classifier, optionally with a margin.  Each exact
-backend is a generator that yields every realizable admissible labeling
-once, so a SAT decision takes its first labeling and an exact count drains
-it:
+An admissible labeling gives each of p multiplets one sign, shared by its
+k points; it is realizable when a homogeneous linear classifier induces it,
+optionally with a margin.  Every prefix of a realizable labeling is
+realizable, so a dataset has a SAT threshold p*, the fewest leading
+multiplets with no realizable labeling: its first q multiplets are SAT iff
+q < p*.
 
+* ``extension``: walk the realizable prefix labelings depth first from
+  sigma_1 = +1, one multiplet at a time; the cost is their number, not 2^p.
+  `_threshold` reads p* off one walk, the only exact SAT decision: it stops
+  at the first leaf (p* = p + 1), else its deepest node has depth p* - 2.
+  Draining the leaves, each with -sigma, counts.  Each node carries a unit
+  witness w; a child whose new points all clear margin + TAU along w needs
+  no solve.  At a positive margin a pair table, built once per walk,
+  refuses a child two of whose signed points span a segment nearer the
+  origin than margin + TAU by 1e-12 (that segment's margin bounds the whole
+  set's).  Any other child costs one min-norm-point solve, warm-started
+  from the final corral of the last solve on its path, whose rows begin its
+  own.  Refused past `MAX_SOLVES` solves.
 * ``full-rank``: kp independent points realize every labeling; the count
   is 2^p with no search (margin 0 only).
-* ``cells`` (margin 0 only): read the labelings off the cells of the
+* ``cells`` (margin-0 counts only): read the labelings off the cells of the
   central hyperplane arrangement of the kp points, exact at any effective
-  rank r within the cell budget; the scan grows like (kp)^(r-1) 2^r, which
-  makes deep-UNSAT scans at n = 3 affordable where 2^p enumeration is
-  hopeless.
-* ``extension``: extend realizable labelings one multiplet at a time,
-  depth first from sigma_1 = +1, and yield each sigma with -sigma.
-  Realizability is monotone in the multiplet set, so the cost is the number
-  of realizable prefix labelings, not 2^p.  Each node carries a unit
-  witness w; a child whose new points all clear margin + TAU along w needs
-  no solve.  A child is UNSAT when two of its signed points span a segment
-  nearer the origin than margin + TAU by 1e-12 (that segment's margin
-  bounds the whole set's), and a pair table built once per probe refuses it
-  without a solve.
-  Any other child costs one min-norm-point solve, warm-started from the
-  final corral of the last solve on its path, whose rows begin its own.
-  Refused past `MAX_SOLVES` solves.
+  rank r within the cell budget; the scan grows like (kp)^(r-1) 2^r, so it
+  beats the walk on large counts at small n.
 * `random_classifier_probe`: sample random directions and read off the
   labelings they induce; a lower bound on the count and a SAT witness
   finder, with no UNSAT certificate.
 
-The data alone picks the backend.  A positive margin always takes the
-extension engine.  At margin 0 it runs where its worst case of 2^(p-1)
+The data alone picks the counting backend.  A positive margin always takes
+the extension engine.  At margin 0 it runs where its worst case of 2^(p-1)
 solves costs less than the cells (`cell_scan_cost` of the distinct
 hyperplanes, one solve counted as `MARGIN_SOLVE_COST` cells, inf past the
-cell budget), and cells decide the rest.
+cell budget).  Cells count the rest once `_threshold` finds the dataset
+SAT; an UNSAT dataset counts 0 with no scan.
 
-Prefix certificate: an UNSAT subset certifies an UNSAT dataset, so a
-``cells`` probe first asks for one labeling of each prefix of q = 8, 16,
-32, ... < p multiplets; the first prefix with none ends the probe with the
-exact count 0, and a dataset whose prefixes are all SAT is scanned in full.
-Deep-UNSAT trials are thus decided on a few dozen multiplets instead of all
-p.  The extension engine needs no such ladder.
-
-Each trial samples one dataset from its (master seed, trial index) stream
-and probes it once; a counting probe also decides SAT, so mean counts and
-SAT fractions describe the same disorder.  A library call runs its trials
+A scan trial is one multiplet sequence from its (master seed, trial index)
+stream; load p reads its first p multiplets, which are the draw of p alone.
+An exact decision reads every load off one walk; counting and
+random-classifier trials probe the loads in ascending order up to the first
+UNSAT one.  A counting probe also decides SAT, so mean counts and SAT
+fractions describe the same disorder.  A library call runs its trials
 through one process pool and reduces them in trial order, so results are
 bit-reproducible for any worker count.
 """
@@ -54,9 +50,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import closing
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterator
 
 import numpy as np
@@ -92,6 +86,7 @@ MAX_SOLVES = 2**22
 # 0.43-0.56 ms, a candidate 0.55-0.67 us, ratio 710-850.
 MARGIN_SOLVE_COST = 800
 
+_ENUMERATE = "enumerate"  # trial probe tag: the exact SAT decision
 _COUNT = "count"  # trial probe tag: full exact count instead of a SAT decision
 _PAIR_ROWS = 512  # most points whose pairs `_pair_conflicts` tabulates
 _WEIGHT_BATCH = 16384  # random directions drawn at once by `random_classifier_probe`
@@ -141,9 +136,7 @@ class PhasePoint:
     count_stderr: float | None = None
 
 
-def sample_dataset(
-    spec: StructureSpec, n: int, p: int, rng: Rng | np.random.Generator
-) -> Dataset:
+def sample_dataset(spec: StructureSpec, n: int, p: int, rng: Rng | np.random.Generator) -> Dataset:
     """p independent multiplets under the flat constrained measure, drawn
     as one stack (the same points as p `sample_multiplet` calls in a row)."""
     if p < 1:
@@ -152,8 +145,9 @@ def sample_dataset(
 
 
 def _pick_method(dataset: Dataset, margin: float) -> tuple[str, tuple | None]:
-    """The exact backend for this dataset, from its rank, its size and the
-    margin, with the `dedupe_directions` of its points when that is cells."""
+    """The exact counting backend for this dataset, from its rank, its size
+    and the margin, with the `dedupe_directions` of its points when that is
+    cells."""
     if margin > 0.0:
         return METHOD_EXTENSION, None
     flat = dataset.flat
@@ -172,18 +166,15 @@ def _cells_labelings(dataset: Dataset, directions: tuple) -> Iterator[np.ndarray
     """Yield each admissible labeling realizable at margin 0 once, read off
     the cells of the arrangement of the kp points.
 
-    ``directions`` is `dedupe_directions` of these points or of a longer
-    dataset they begin: representatives are numbered by first occurrence,
-    so those of a prefix are a prefix of them.  Degenerate-edge candidates
-    are verified with `max_margin`; on generic data the cell patterns are
-    exact as-is.
+    ``directions`` is `dedupe_directions` of these points.  Degenerate-edge
+    candidates are verified with `max_margin`; on generic data the cell
+    patterns are exact as-is.
     """
     flat = dataset.flat
     p, k = dataset.p, dataset.spec.k
     reps, idx, sgn = directions
-    idx, sgn = idx[: p * k], sgn[: p * k]
     seen: set[bytes] = set()
-    for block, verify in sign_pattern_blocks(reps[: idx.max() + 1]):
+    for block, verify in sign_pattern_blocks(reps):
         full = block[:, idx] * sgn[None, :]
         grouped = full.reshape(-1, p, k)
         consistent = np.all(grouped == grouped[:, :, :1], axis=(1, 2))
@@ -226,13 +217,14 @@ def _pair_conflicts(points: np.ndarray, bar: float) -> tuple[np.ndarray, np.ndar
     return close(g), close(-g)
 
 
-def _extension_labelings(dataset: Dataset, margin: float) -> Iterator[np.ndarray]:
-    """Yield each admissible labeling realizable above the margin once, by
-    extending realizable prefix labelings depth first (see the module
-    docstring); `BudgetError` past `MAX_SOLVES` solves."""
+def _extension_nodes(dataset: Dataset, margin: float) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (depth j, labels) once for each prefix labeling ``labels[: j + 1]``
+    realizable above the margin, depth first (see the module docstring);
+    ``labels`` is one reused buffer.  `BudgetError` past `MAX_SOLVES` solves."""
     p, k = dataset.p, dataset.spec.k
     bar = margin + TAU
-    same, flip = _pair_conflicts(dataset.points, bar)
+    # at margin 0 an entry needs exact antipodes, which the first solve refuses
+    same, flip = _pair_conflicts(dataset.points, bar) if margin > 0 else ((), ())
     signed = np.empty((p * k, dataset.n))  # row block j: multiplet j times its sign
     labels = np.empty(p, dtype=np.int8)
     solves = 0
@@ -266,9 +258,8 @@ def _extension_labelings(dataset: Dataset, margin: float) -> Iterator[np.ndarray
             # only a witness that clears the bar on every row frees children,
             # so the Wolfe tolerance never enters a certificate
             certified = bool((signed[:end] @ w).min() > bar)
+        yield j, labels
         if end == p * k:
-            yield labels.copy()
-            yield -labels
             continue
         # at most one child is free (bar > 0); it goes first, else sign +1
         field = dataset.points[j + 1] @ w
@@ -278,31 +269,25 @@ def _extension_labelings(dataset: Dataset, margin: float) -> Iterator[np.ndarray
         stack.append((j + 1, first, w if free else None, start))
 
 
-def _probe(dataset: Dataset, margin: float, limit: int | None) -> SatProbe:
-    """Decide (``limit=1``) or count (``limit=None``) the realizable labelings."""
-    if margin < 0:
-        raise ValidationError("margin must be >= 0")
-    chosen, directions = _pick_method(dataset, margin)
-    if chosen == METHOD_FULL_RANK:
-        return SatProbe(count=2 ** dataset.p, sat=True, enumerated=True, method=chosen)
-    if chosen == METHOD_CELLS:
-        q = 8
-        while q < dataset.p:
-            prefix = Dataset(spec=dataset.spec, n=dataset.n, p=q, points=dataset.points[:q])
-            if next(_cells_labelings(prefix, directions), None) is None:
-                return SatProbe(count=0, sat=False, enumerated=True, method=chosen)
-            q *= 2
-        labelings = _cells_labelings(dataset, directions)
-    else:
-        labelings = _extension_labelings(dataset, margin)
-    count = sum(1 for _ in islice(labelings, limit))
-    return SatProbe(
-        count=count,
-        sat=count > 0,
-        # exhaustion proves UNSAT; stopping at the limit leaves the count partial
-        enumerated=limit is None or count < limit,
-        method=chosen,
-    )
+def _extension_labelings(dataset: Dataset, margin: float) -> Iterator[np.ndarray]:
+    """Yield each admissible labeling realizable above the margin once: the
+    leaves of the extension walk, each with its negation."""
+    for j, labels in _extension_nodes(dataset, margin):
+        if j == dataset.p - 1:
+            yield labels.copy()
+            yield -labels
+
+
+def _threshold(dataset: Dataset, margin: float) -> int:
+    """SAT threshold p* (p + 1 when all p multiplets are SAT) from one
+    extension walk: it stops at its first leaf, else exhausts the realizable
+    prefix labelings, whose deepest has depth p* - 2."""
+    deepest = -1
+    for j, _ in _extension_nodes(dataset, margin):
+        if j == dataset.p - 1:
+            return dataset.p + 1
+        deepest = max(deepest, j)
+    return deepest + 2
 
 
 def count_admissible_dichotomies(dataset: Dataset, margin: float = 0.0) -> SatProbe:
@@ -312,16 +297,30 @@ def count_admissible_dichotomies(dataset: Dataset, margin: float = 0.0) -> SatPr
     margin 0, otherwise cells or the extension engine as the module
     docstring says; `BudgetError` past the chosen backend's budget.
     """
-    return _probe(dataset, margin, limit=None)
+    if margin < 0:
+        raise ValidationError("margin must be >= 0")
+    chosen, directions = _pick_method(dataset, margin)
+    if chosen == METHOD_FULL_RANK:
+        count = 2**dataset.p
+    elif chosen == METHOD_EXTENSION:
+        count = sum(1 for _ in _extension_labelings(dataset, margin))
+    elif _threshold(dataset, 0.0) > dataset.p:
+        count = sum(1 for _ in _cells_labelings(dataset, directions))
+    else:
+        count = 0  # UNSAT: no cell scan
+    return SatProbe(count=count, sat=count > 0, enumerated=True, method=chosen)
 
 
 def admissible_exists(dataset: Dataset, margin: float = 0.0) -> SatProbe:
-    """SAT/UNSAT decision with early exit on the first realizable labeling.
+    """SAT/UNSAT decision: one extension walk, SAT iff `_threshold` > p.
 
     UNSAT outcomes are exhaustive (``enumerated=True``); SAT outcomes stop
-    at the witness, so the reported count is partial.
+    at the first realizable labeling, so the reported count is partial.
     """
-    return _probe(dataset, margin, limit=1)
+    if margin < 0:
+        raise ValidationError("margin must be >= 0")
+    sat = _threshold(dataset, margin) > dataset.p
+    return SatProbe(count=int(sat), sat=sat, enumerated=not sat, method=METHOD_EXTENSION)
 
 
 def random_classifier_probe(
@@ -359,37 +358,44 @@ def random_classifier_probe(
         labels = np.where(pos[ok], 1, -1).astype(np.int8)
         for row in labels:
             seen.add(row.tobytes())
-    return SatProbe(
-        count=len(seen),
-        sat=len(seen) > 0,
-        enumerated=False,
-        method=METHOD_RANDOM,
-    )
+    return SatProbe(count=len(seen), sat=len(seen) > 0, enumerated=False, method=METHOD_RANDOM)
 
 
-def _trial_worker(job) -> SatProbe:
-    """One trial: sample a dataset from the trial's stream, probe it once."""
-    spec, n, p, margin, probe, num_weights, stream = job
-    ds = sample_dataset(spec, n, p, stream)
-    if probe == _COUNT:
-        return count_admissible_dichotomies(ds, margin=margin)
-    if probe == METHOD_RANDOM:
-        return random_classifier_probe(ds, num_weights, stream.substream(1), margin=margin)
-    return admissible_exists(ds, margin=margin)
+def _trial_worker(job) -> list[int]:
+    """One trial: draw the largest load's multiplets once from the trial's
+    stream; one count per load, ascending, SAT iff positive (1 for an exact
+    decision, all read off one `_threshold` walk).  Other probes stop at the
+    first UNSAT load, as every larger load is UNSAT too."""
+    spec, n, loads, margin, probe, num_weights, stream = job
+    ds = sample_dataset(spec, n, loads[-1], stream)
+    if probe == _ENUMERATE:
+        threshold = _threshold(ds, margin)
+        return [int(p < threshold) for p in loads]
+    counts = [0] * len(loads)
+    for i, p in enumerate(loads):
+        prefix = Dataset(spec=spec, n=n, p=p, points=ds.points[:p])
+        if probe == METHOD_RANDOM:
+            # the same directions for every prefix keep the SAT indicator monotone
+            q = random_classifier_probe(prefix, num_weights, stream.substream(1), margin=margin)
+        else:
+            q = count_admissible_dichotomies(prefix, margin=margin)
+        counts[i] = q.count
+        if not q.sat:
+            break
+    return counts
 
 
-def _map_ordered(worker, jobs, threads: int):
-    """Yield ``worker(job)`` in job order, from one process pool of at most
-    ``threads`` workers (none for one worker or one job)."""
+def _map_ordered(worker, jobs, threads: int) -> list:
+    """``worker(job)`` for every job, in job order, from one process pool of
+    at most ``threads`` workers (none for one worker or one job)."""
     if threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
     workers = min(threads, len(jobs))
     if workers <= 1:
-        yield from map(worker, jobs)
-        return
+        return list(map(worker, jobs))
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        yield from pool.map(worker, jobs, chunksize=8)
+        return list(pool.map(worker, jobs))
     finally:
         # on a worker error, drop the queued trials instead of running them
         pool.shutdown(cancel_futures=True)
@@ -417,8 +423,8 @@ def estimate_mean_count(
     """
     if trials < 2:
         raise ValidationError("need at least 2 trials for a standard error")
-    jobs = [(spec, n, p, 0.0, _COUNT, 0, rng.substream(t)) for t in range(trials)]
-    return _mean_stderr([q.count for q in _map_ordered(_trial_worker, jobs, threads)])
+    jobs = [(spec, n, [p], 0.0, _COUNT, 0, rng.substream(t)) for t in range(trials)]
+    return _mean_stderr([counts[0] for counts in _map_ordered(_trial_worker, jobs, threads)])
 
 
 def sat_fraction_scan(
@@ -428,7 +434,7 @@ def sat_fraction_scan(
     trials: int,
     rng: Rng,
     margin: float = 0.0,
-    probe: str = "enumerate",
+    probe: str = _ENUMERATE,
     num_weights: int = 10000,
     threads: int = 1,
     with_counts: bool = False,
@@ -439,14 +445,17 @@ def sat_fraction_scan(
     One point per load value, p = round(alpha * n); margin scans use k=1
     specs with the margin as the constraint.  ``probe`` selects the exact
     decision (``"enumerate"``) or the random-classifier witness search
-    (``"random-classifier"``).  Trial t of point i probes one dataset from
-    ``rng.substream(i, t)``; ``with_counts`` counts it exactly, which also
-    decides SAT.  All trials share one process pool; ``progress(point,
-    done, total)`` is called as each point completes.
+    (``"random-classifier"``); ``with_counts`` counts exactly, which also
+    decides SAT.  Trial t is one multiplet sequence: it draws the largest
+    load's multiplets once from ``rng.substream(t)`` (a random-classifier
+    probe takes its directions from ``rng.substream(t, 1)``), and load p
+    reads its first p, so every point sees the same disorder.  All trials
+    share one process pool; ``progress(point, done, total)`` is called
+    once per point after all trials.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    if probe not in ("enumerate", METHOD_RANDOM):
+    if probe not in (_ENUMERATE, METHOD_RANDOM):
         raise ValidationError(f"unknown probe {probe!r}")
     if not alpha_grid:
         raise ValidationError("alpha grid must be nonempty")
@@ -458,32 +467,22 @@ def sat_fraction_scan(
         if p < 1:
             raise ValidationError(f"alpha={alpha} gives p={p} < 1 at n={n}")
     kind = _COUNT if with_counts else probe
-    jobs = [
-        (spec, n, p, margin, kind, num_weights, rng.substream(i, t))
-        for i, p in enumerate(loads)
-        for t in range(trials)
-    ]
+    distinct = sorted(set(loads))
+    jobs = [(spec, n, distinct, margin, kind, num_weights, rng.substream(t)) for t in range(trials)]
+    # per load, the counts of every trial in trial order
+    counts = dict(zip(distinct, zip(*_map_ordered(_trial_worker, jobs, threads))))
     points: list[PhasePoint] = []
-    with closing(_map_ordered(_trial_worker, jobs, threads)) as results:
-        for alpha, p in zip(alpha_grid, loads):
-            probes = list(islice(results, trials))
-            frac = float(np.mean([q.sat for q in probes]))
-            stderr = math.sqrt(frac * (1.0 - frac) / trials)
-            mean_count = count_stderr = None
-            if with_counts:
-                mean_count, count_stderr = _mean_stderr([q.count for q in probes])
-            point = PhasePoint(
-                alpha=alpha,
-                p=p,
-                trials=trials,
-                fraction=frac,
-                stderr=stderr,
-                mean_count=mean_count,
-                count_stderr=count_stderr,
-            )
-            points.append(point)
-            if progress is not None:
-                progress(point, len(points), len(alpha_grid))
+    for alpha, p in zip(alpha_grid, loads):
+        frac = float(np.mean([c > 0 for c in counts[p]]))
+        stderr = math.sqrt(frac * (1.0 - frac) / trials)
+        mean_count = count_stderr = None
+        if with_counts:
+            mean_count, count_stderr = _mean_stderr(counts[p])
+        point = PhasePoint(alpha=alpha, p=p, trials=trials, fraction=frac, stderr=stderr,
+                           mean_count=mean_count, count_stderr=count_stderr)
+        points.append(point)
+        if progress is not None:
+            progress(point, len(points), len(alpha_grid))
     return points
 
 

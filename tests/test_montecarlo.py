@@ -7,6 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from vclab import montecarlo
 from vclab.errors import BudgetError, DimensionError, ValidationError
 from vclab.montecarlo import (
     Dataset,
@@ -16,6 +17,7 @@ from vclab.montecarlo import (
     _extension_labelings,
     _pair_conflicts,
     _pick_method,
+    _threshold,
     admissible_exists,
     count_admissible_dichotomies,
     crossover_load,
@@ -157,6 +159,16 @@ class TestSampling:
                     points = sample_dataset(spec, n, p, stream).points
                     assert points.shape == oracle.shape
                     assert points.tobytes() == oracle.tobytes(), (i, p, n)
+
+    def test_prefix_stable(self):
+        # a scan reads load q off the first q multiplets of its largest load
+        specs = [StructureSpec.equicorrelated(k, 0.3) for k in (1, 2, 3)]
+        specs.append(StructureSpec.pairs(-1.0))
+        for i, spec in enumerate(specs):
+            stream = Rng(9, i)
+            whole = sample_dataset(spec, 4, 81, stream).points
+            for q in (1, 2, 12, 80):
+                assert sample_dataset(spec, 4, q, stream).points.tobytes() == whole[:q].tobytes()
 
     def test_sampling_validation(self):
         with pytest.raises(DimensionError):
@@ -407,7 +419,7 @@ class TestExtensionEngine:
             margin = optimum - TAU + offset
             assert drained(_extension_labelings, ds, margin) == drained(sigma_labelings, ds, margin)
 
-    def test_one_dedupe_per_decision(self, monkeypatch):
+    def test_decisions_neither_dedupe_nor_scan_cells(self, monkeypatch, scans):
         calls = []
 
         def recording(points):
@@ -416,10 +428,11 @@ class TestExtensionEngine:
 
         monkeypatch.setattr("vclab.montecarlo.dedupe_directions", recording)
         for p, sat in ((4, True), (30, False)):
-            calls.clear()
             ds = sample_dataset(PAIRS_HALF, 3, p, Rng(73))
-            assert admissible_exists(ds).sat == sat
-            assert calls == [2 * p]  # the whole dataset, once, prefixes included
+            assert _pick_method(ds, 0.0)[0] == "cells"
+            assert admissible_exists(ds) == SatProbe(int(sat), sat, not sat, "extension")
+        assert calls == [2 * 4, 2 * 30]  # from the two picks above
+        assert scans == []
 
 
 class TestExistence:
@@ -500,11 +513,50 @@ def solves(monkeypatch):
     return seen
 
 
+def first_unsat_prefix(dataset: Dataset, margin: float) -> int:
+    """p* by per-prefix decisions of the oracles: the whole-prefix cell scan
+    at margin 0, the sign-vector oracle above it; p + 1 when all are SAT."""
+    labelings = cells_labelings if margin == 0.0 else sigma_labelings
+    for q in range(1, dataset.p + 1):
+        prefix = Dataset(spec=dataset.spec, n=dataset.n, p=q, points=dataset.points[:q])
+        if next(labelings(prefix, margin), None) is None:
+            return q
+    return dataset.p + 1
+
+
 class TestPrefixCertificate:
-    def test_matches_full_set_scan(self):
-        # the whole-dataset cell scan without prefixes, or the sign-vector
-        # oracle where the engine decides, is the oracle for both the decision
-        # and the exact count
+    def test_threshold_matches_per_prefix_oracles(self):
+        cases = [
+            (sample_dataset(StructureSpec.pairs(rho), 3, 30, Rng(61, (i, t))), 0.0)
+            for i, rho in enumerate((-1.0, -0.5, 0.0, 0.5, 0.8, 1.0))
+            for t in range(4)
+        ]
+        # pairs with a repeated and a negated multiplet, and pairs of rank 2
+        # in R^3 and of rank 3 in R^4
+        for t in range(3):
+            pts = sample_dataset(PAIRS_HALF, 3, 20, Rng(64, t)).points
+            pts = np.concatenate([pts[:4], pts[1:2], pts[4:6], -pts[2:3], pts[6:]])
+            cases.append((Dataset(spec=PAIRS_HALF, n=3, p=22, points=pts), 0.0))
+            for r in (2, 3):
+                frame, _ = np.linalg.qr(Rng(65, (r, t)).generator().standard_normal((r + 1, r)))
+                flat = sample_dataset(PAIRS_HALF, r, 20, Rng(66, (r, t))).points @ frame.T
+                cases.append((Dataset(spec=PAIRS_HALF, n=r + 1, p=20, points=flat), 0.0))
+        # k=1 margins, at loads where some datasets stay SAT throughout
+        for kappa, n, p in ((0.3, 2, 12), (0.5, 3, 10), (0.5, 4, 9), (0.99, 3, 6)):
+            cases += [(sample_dataset(UNSTRUCTURED, n, p, Rng(62, (n, t))), kappa)
+                      for t in range(3)]
+        cases += [(sample_dataset(PAIRS_HALF, 3, 2, Rng(63, t)), 0.0) for t in range(3)]
+        outcomes = Counter()
+        for ds, margin in cases:
+            expected = first_unsat_prefix(ds, margin)
+            assert _threshold(ds, margin) == expected, (ds.spec, ds.n, ds.p, margin)
+            outcomes[expected == ds.p + 1, expected > 2] += 1
+        # all-SAT datasets, and UNSAT ones past their second multiplet, both occur
+        assert outcomes[True, True] >= 3 and outcomes[False, True] >= 20
+
+    def test_decisions_and_counts_match_full_set_scan(self):
+        # the whole-dataset cell scan, or the sign-vector oracle where the
+        # engine counts, is the oracle for both the decision and the exact count
         cases = [
             (StructureSpec.pairs(rho), 3, p, 0.0, "cells")
             for rho in (-1.0, -0.5, 0.0, 0.5, 0.8, 1.0)
@@ -513,45 +565,43 @@ class TestPrefixCertificate:
         cases += [(UNSTRUCTURED, 3, p, 0.5, "extension") for p in (9, 12)]
         cases += [(PAIRS_HALF, 8, 10, 0.0, "extension")]
         cases += [(UNSTRUCTURED, 4, p, 0.5, "extension") for p in (9, 10)]
-        past_first_prefix = Counter()
+        outcomes = Counter()
         for i, (spec, n, p, margin, method) in enumerate(cases):
             for t in range(3):
                 ds = sample_dataset(spec, n, p, Rng(61, (i, t)))
                 labelings = cells_labelings if method == "cells" else sigma_labelings
                 count = len(list(labelings(ds, margin)))
                 sat = count > 0
-                exists = admissible_exists(ds, margin=margin)
-                full = count_admissible_dichotomies(ds, margin=margin)
-                assert exists.method == full.method == method
-                assert exists.sat == sat
-                assert (full.count, full.sat) == (count, sat)
-                assert exists.enumerated == (not sat) and full.enumerated
-                if method == "cells":
-                    past_first_prefix[sat] += p > 8
-        # both outcomes of the cell scan reach the prefix loop
-        assert len(past_first_prefix) == 2 and min(past_first_prefix.values()) >= 2
+                assert admissible_exists(ds, margin=margin) == SatProbe(
+                    int(sat), sat, not sat, "extension"
+                )
+                assert count_admissible_dichotomies(ds, margin=margin) == SatProbe(
+                    count, sat, True, method
+                )
+                outcomes[method, sat] += 1
+        assert min(outcomes.values()) >= 2 and len(outcomes) == 4
 
-    @pytest.mark.parametrize("n, method", [(3, "cells"), (10, "extension")])
-    def test_unsat_prefix_decides_the_dataset(self, scans, solves, n, method):
-        ds = antipodal_pairs(n, 20, 62)
-        for probe in (admissible_exists(ds), count_admissible_dichotomies(ds)):
-            assert (probe.count, probe.sat, probe.enumerated) == (0, False, True)
-            assert probe.method == method
-        if method == "cells":
-            assert scans == [8, 8]  # the full set is never scanned
-        else:
-            # no solve: the pair tables refuse the root pair, whose points
-            # are antipodal
-            assert solves == []
+    def test_unsat_cells_count_needs_no_scan(self, scans, solves):
+        ds = antipodal_pairs(3, 20, 62)
+        assert count_admissible_dichotomies(ds) == SatProbe(0, False, True, "cells")
+        assert scans == []
+        assert solves == [2]  # the first multiplet's antipodal points
 
-    def test_sat_prefixes_fall_through_to_the_full_set(self, scans):
+    def test_antipodal_pair_is_unsat_in_one_solve(self, solves):
+        # at margin 0 no pair table is built: the root solve refuses it
+        ds = antipodal_pairs(10, 20, 62)
+        assert admissible_exists(ds) == SatProbe(0, False, True, "extension")
+        assert count_admissible_dichotomies(ds) == SatProbe(0, False, True, "extension")
+        assert solves == [2, 2]
+
+    def test_sat_cells_count_scans_the_full_set_once(self, scans):
         ds = sample_dataset(StructureSpec.pairs(1.0), 3, 20, Rng(63))
         assert count_admissible_dichotomies(ds).count == cover_count_exact(3, 20)
-        assert scans == [8, 16, 20]
+        assert scans == [20]
 
     def test_budget_errors_unchanged(self, monkeypatch):
         # past the cell budget at p > 22 the engine decides what the cell scan
-        # refuses (q=8 is SAT here, so no prefix decides the dataset)
+        # refuses (a SAT dataset, whose first 8 multiplets are SAT too)
         pairs = sample_dataset(PAIRS_HALF, 9, 24, Rng(65))
         prefix = Dataset(spec=pairs.spec, n=pairs.n, p=8, points=pairs.points[:8])
         assert admissible_exists(prefix).sat
@@ -716,6 +766,53 @@ class TestSatFractionScan:
             assert q.mean_count >= 2 * q.fraction
             assert (q.mean_count == 0) == (q.fraction == 0)
 
+    @pytest.mark.parametrize(
+        "spec, loads, kwargs",
+        [
+            (PAIRS_HALF, range(8, 21), {}),
+            (PAIRS_HALF, range(8, 21), {"with_counts": True}),
+            (PAIRS_HALF, range(6, 19), {"probe": "random-classifier", "num_weights": 500}),
+            (UNSTRUCTURED, range(2, 14), {"margin": 0.5}),
+        ],
+    )
+    def test_fractions_never_rise_with_the_load(self, spec, loads, kwargs):
+        # every load reads the same multiplet sequence, so SAT is monotone
+        # trial by trial and the fractions fall without sampling noise (on
+        # independent datasets per load, each of these scans rises somewhere)
+        pts = sat_fraction_scan(spec, 3, [p / 3 for p in loads], 8, Rng(56), **kwargs)
+        fracs = [q.fraction for q in pts]
+        assert fracs == sorted(fracs, reverse=True)
+        assert fracs[0] == 1.0 and fracs[-1] < 0.5
+
+    def test_duplicate_and_unsorted_loads(self):
+        for kwargs in ({}, {"with_counts": True}):
+            plain = sat_fraction_scan(PAIRS_HALF, 3, [2, 3, 4, 5], 10, Rng(57), **kwargs)
+            plain = {q.alpha: q for q in plain}
+            mixed = sat_fraction_scan(PAIRS_HALF, 3, [4, 2, 5, 4, 3], 10, Rng(57), **kwargs)
+            assert mixed == [plain[a] for a in (4, 2, 5, 4, 3)]
+
+    @pytest.mark.parametrize("name", ["count_admissible_dichotomies", "random_classifier_probe"])
+    def test_probes_stop_at_the_first_unsat_load(self, monkeypatch, name):
+        probes = []
+        inner = getattr(montecarlo, name)
+
+        def recording(dataset, *args, **kwargs):
+            probes.append(dataset.p)
+            return inner(dataset, *args, **kwargs)
+
+        monkeypatch.setattr(f"vclab.montecarlo.{name}", recording)
+        grid = [1, 2, 3, 4, 5, 6, 8]
+        kwargs = {"with_counts": True} if name.startswith("count") else {
+            "probe": "random-classifier", "num_weights": 500}
+        total = 0
+        for t in range(8):
+            probes.clear()
+            pts = sat_fraction_scan(PAIRS_HALF, 3, grid, 1, Rng(58, t), **kwargs)
+            # one probe per SAT load, and one for the first UNSAT load
+            assert len(probes) <= sum(q.fraction for q in pts) + 1
+            total += len(probes)
+        assert total < 8 * len(grid)
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             sat_fraction_scan(PAIRS_HALF, 3, [], 10, Rng(0))
@@ -786,7 +883,7 @@ class TestPool:
         assert [pool.max_workers for pool in pools] == [3]
 
     def test_worker_error_cancels_queued_trials(self, pools, monkeypatch):
-        # the p = 10 trials decide in 3 and 5 solves, the first p = 24 one needs 10
+        # the first trial's walk over 24 pairs needs 24 solves
         monkeypatch.setattr("vclab.montecarlo.MAX_SOLVES", 5)
         with pytest.raises(BudgetError):
             sat_fraction_scan(PAIRS_HALF, 10, [1, 2.4], 2, Rng(60), threads=2)
