@@ -30,11 +30,14 @@ q < p*.
   finder, with no UNSAT certificate.
 
 The data alone picks the counting backend.  A positive margin always takes
-the extension engine.  At margin 0 it runs where its worst case of 2^(p-1)
-solves costs less than the cells (`cell_scan_cost` of the distinct
-hyperplanes, one solve counted as `MARGIN_SOLVE_COST` cells, inf past the
-cell budget).  Cells count the rest once `_threshold` finds the dataset
-SAT; an UNSAT dataset counts 0 with no scan.
+the extension engine.  At margin 0, below full rank, the engine races the
+cell scan: it is drained under a budget of the scan's price in solves
+(`cell_scan_cost` of the distinct hyperplanes over `CELLS_PER_SOLVE`, inf
+past the cell budget), and if it runs past that budget its partial count is
+dropped and cells count.  A count then costs at most about twice the
+cheaper backend, with no model of the engine's worst case; the budget
+counts solves, not seconds, so a dataset takes the same backend on every
+run and machine.
 
 A scan trial is one multiplet sequence from its (master seed, trial index)
 stream; load p reads its first p multiplets, which are the draw of p alone.
@@ -79,12 +82,14 @@ METHOD_RANDOM = "random-classifier"
 # warm-started solve (counting pairs at n = 6-10, p = 8-24, 2-core Xeon).
 MAX_SOLVES = 2**22
 
-# Cost of one margin solve in candidate patterns of a cell scan
-# (`cell_scan_cost`), which prices the extension engine at margin 0 by its
-# worst case of 2^(p-1) solves.  Measured on a 2-core Xeon, counting pairs at
-# n = 6-8, p = 8-10, before solves were warm-started: a solve took
-# 0.43-0.56 ms, a candidate 0.55-0.67 us, ratio 710-850.
-MARGIN_SOLVE_COST = 800
+# Candidate patterns of a cell scan (`cell_scan_cost`) priced as one
+# warm-started solve of the extension engine: a margin-0 counting race gives
+# the engine the scan's price in solves.  Measured on a 2-core Xeon, best of
+# 3, drained margin-0 counts: a solve took 0.05-0.16 ms and a candidate
+# 0.24-2.1 us, ratio 29-111 where cells win (k=1 at n = 3-4, p = 15-60;
+# pairs at n = 3) and 205-535 where the engine wins (pairs at n = 5-6).  Above
+# the first range, a lost race wastes at most about one scan's time.
+CELLS_PER_SOLVE = 150
 
 _ENUMERATE = "enumerate"  # trial probe tag: the exact SAT decision
 _COUNT = "count"  # trial probe tag: full exact count instead of a SAT decision
@@ -144,24 +149,6 @@ def sample_dataset(spec: StructureSpec, n: int, p: int, rng: Rng | np.random.Gen
     return Dataset(spec=spec, n=n, p=p, points=sample_multiplets(spec, n, p, rng))
 
 
-def _pick_method(dataset: Dataset, margin: float) -> tuple[str, tuple | None]:
-    """The exact counting backend for this dataset, from its rank, its size
-    and the margin, with the `dedupe_directions` of its points when that is
-    cells."""
-    if margin > 0.0:
-        return METHOD_EXTENSION, None
-    flat = dataset.flat
-    rank = numerical_rank(np.linalg.svd(flat, compute_uv=False), flat.shape)
-    if rank == flat.shape[0]:
-        return METHOD_FULL_RANK, None
-    # cells priced on the distinct hyperplanes they scan (inf past their budget)
-    directions = dedupe_directions(flat)
-    solve_cost = MARGIN_SOLVE_COST * 2 ** (dataset.p - 1)
-    if solve_cost < cell_scan_cost(len(directions[0]), rank):
-        return METHOD_EXTENSION, None
-    return METHOD_CELLS, directions
-
-
 def _cells_labelings(dataset: Dataset, directions: tuple) -> Iterator[np.ndarray]:
     """Yield each admissible labeling realizable at margin 0 once, read off
     the cells of the arrangement of the kp points.
@@ -217,10 +204,17 @@ def _pair_conflicts(points: np.ndarray, bar: float) -> tuple[np.ndarray, np.ndar
     return close(g), close(-g)
 
 
-def _extension_nodes(dataset: Dataset, margin: float) -> Iterator[tuple[int, np.ndarray]]:
+class _RaceLost(Exception):
+    """An extension walk ran past the solve budget of its counting race."""
+
+
+def _extension_nodes(
+    dataset: Dataset, margin: float, budget: float = math.inf
+) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (depth j, labels) once for each prefix labeling ``labels[: j + 1]``
     realizable above the margin, depth first (see the module docstring);
-    ``labels`` is one reused buffer.  `BudgetError` past `MAX_SOLVES` solves."""
+    ``labels`` is one reused buffer.  `BudgetError` past `MAX_SOLVES` solves,
+    else `_RaceLost` past ``budget`` solves."""
     p, k = dataset.p, dataset.spec.k
     bar = margin + TAU
     # at margin 0 an entry needs exact antipodes, which the first solve refuses
@@ -248,6 +242,8 @@ def _extension_nodes(dataset: Dataset, margin: float) -> Iterator[tuple[int, np.
                     f"extension search exceeds its budget of {MAX_SOLVES} margin solves; "
                     "use the random-classifier probe, which has no budget"
                 )
+            if solves + 1 > budget:
+                raise _RaceLost
             solves += 1
             # warm start: the rows of the last solve on this path begin these
             d, *start = min_norm_corral(signed[:end], *start)
@@ -269,10 +265,12 @@ def _extension_nodes(dataset: Dataset, margin: float) -> Iterator[tuple[int, np.
         stack.append((j + 1, first, w if free else None, start))
 
 
-def _extension_labelings(dataset: Dataset, margin: float) -> Iterator[np.ndarray]:
+def _extension_labelings(
+    dataset: Dataset, margin: float, budget: float = math.inf
+) -> Iterator[np.ndarray]:
     """Yield each admissible labeling realizable above the margin once: the
     leaves of the extension walk, each with its negation."""
-    for j, labels in _extension_nodes(dataset, margin):
+    for j, labels in _extension_nodes(dataset, margin, budget):
         if j == dataset.p - 1:
             yield labels.copy()
             yield -labels
@@ -293,22 +291,29 @@ def _threshold(dataset: Dataset, margin: float) -> int:
 def count_admissible_dichotomies(dataset: Dataset, margin: float = 0.0) -> SatProbe:
     """Exact number of admissible labelings realizable above the margin.
 
-    The full-rank shortcut when the kp points are linearly independent at
-    margin 0, otherwise cells or the extension engine as the module
-    docstring says; `BudgetError` past the chosen backend's budget.
+    The extension engine at a positive margin; at margin 0 the full-rank
+    shortcut when the kp points are linearly independent, else a race of
+    the engine against the cell scan, as the module docstring says.
+    `BudgetError` past the budget of the backend that counts.
     """
     if margin < 0:
         raise ValidationError("margin must be >= 0")
-    chosen, directions = _pick_method(dataset, margin)
-    if chosen == METHOD_FULL_RANK:
-        count = 2**dataset.p
-    elif chosen == METHOD_EXTENSION:
-        count = sum(1 for _ in _extension_labelings(dataset, margin))
-    elif _threshold(dataset, 0.0) > dataset.p:
+    budget = math.inf
+    if margin == 0.0:
+        flat = dataset.flat
+        rank = numerical_rank(np.linalg.svd(flat, compute_uv=False), flat.shape)
+        if rank == flat.shape[0]:
+            return SatProbe(count=2**dataset.p, sat=True, enumerated=True, method=METHOD_FULL_RANK)
+        # the scan's price in solves (inf past the cell budget)
+        directions = dedupe_directions(flat)
+        budget = cell_scan_cost(len(directions[0]), rank) / CELLS_PER_SOLVE
+    try:
+        count = sum(1 for _ in _extension_labelings(dataset, margin, budget))
+        method = METHOD_EXTENSION
+    except _RaceLost:
         count = sum(1 for _ in _cells_labelings(dataset, directions))
-    else:
-        count = 0  # UNSAT: no cell scan
-    return SatProbe(count=count, sat=count > 0, enumerated=True, method=chosen)
+        method = METHOD_CELLS
+    return SatProbe(count=count, sat=count > 0, enumerated=True, method=method)
 
 
 def admissible_exists(dataset: Dataset, margin: float = 0.0) -> SatProbe:

@@ -42,6 +42,7 @@ TAU = 1e-9
 DEGENERACY_TOL = 1e-9
 
 _MNP_TOL = 1e-13
+_BLOCK_ROWS = 2**14  # most candidate rows in one `sign_pattern_blocks` block
 _ZERO = np.zeros(1)
 
 
@@ -210,8 +211,10 @@ def sign_pattern_blocks(points: np.ndarray) -> Iterator[tuple[np.ndarray, np.nda
             "is too large; use the random-classifier probe, which has no budget"
         )
     combos = np.array(list(product((1, -1), repeat=n_fix)), dtype=np.int8)
-    # no batch holds more candidate rows than 4096 subsets at rank 3
-    batch_size = max(1, min(4096, 2**15 >> r))
+    # one block per orientation stacks every combo of a batch of subsets,
+    # combo-major; no block holds more than _BLOCK_ROWS candidate rows
+    batch_size = max(1, min(4096, _BLOCK_ROWS >> n_fix))
+    chunks = [combos[i : i + _BLOCK_ROWS] for i in range(0, len(combos), _BLOCK_ROWS)]
     subset_iter = combinations(range(m), n_fix)
     while True:
         batch = list(islice(subset_iter, batch_size))
@@ -231,10 +234,12 @@ def sign_pattern_blocks(points: np.ndarray) -> Iterator[tuple[np.ndarray, np.nda
             near_zero = np.abs(dots) <= DEGENERACY_TOL
             np.put_along_axis(near_zero, sub, False, axis=1)
             degenerate = near_zero.any(axis=1)
-            for combo in combos:
-                block = base.copy()
-                np.put_along_axis(block, sub, np.broadcast_to(combo, sub.shape), axis=1)
-                yield block, degenerate.copy()
+            for chunk in chunks:
+                block = np.repeat(base[None], len(chunk), axis=0)  # (c, b, m)
+                shape = (len(chunk),) + sub.shape
+                values = np.broadcast_to(chunk[:, None, :], shape)
+                np.put_along_axis(block, np.broadcast_to(sub, shape), values, axis=2)
+                yield block.reshape(-1, m), np.tile(degenerate, len(chunk))
 
 
 def _null_directions(proj: np.ndarray, subsets: np.ndarray) -> np.ndarray:

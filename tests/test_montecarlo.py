@@ -16,7 +16,6 @@ from vclab.montecarlo import (
     _cells_labelings,
     _extension_labelings,
     _pair_conflicts,
-    _pick_method,
     _threshold,
     admissible_exists,
     count_admissible_dichotomies,
@@ -32,9 +31,11 @@ from vclab.separability import (
     _MNP_TOL,
     TAU,
     _affine_minimizer,
+    cell_scan_cost,
     dedupe_directions,
     max_margin,
     min_norm_corral,
+    numerical_rank,
 )
 from vclab.structure import StructureSpec, psi2, sample_multiplet, theta_coefficients
 
@@ -313,25 +314,29 @@ class TestCounting:
 
     @pytest.mark.parametrize(
         "spec, n, p, margin, method",
-        [(PAIRS_HALF, 3, p, 0.0, "cells") for p in (2, 9, 81)]
+        # the race at margin 0: cells when the engine needs more solves than
+        # the scan's price buys, here from under one solve at p = 2 and 9
+        [(PAIRS_HALF, 3, p, 0.0, "cells") for p in (2, 9)]
+        + [(PAIRS_HALF, 3, 81, 0.0, "extension")]  # UNSAT within the budget
         + [(UNSTRUCTURED, 3, 8, 0.5, "extension")]  # any positive margin
-        + [(PAIRS_HALF, 5, p, 0.0, "cells") for p in (6, 12, 25)]
+        + [(PAIRS_HALF, 5, p, 0.0, "extension") for p in (6, 12, 25)]  # few labelings
         + [
-            (PAIRS_HALF, 8, 10, 0.0, "extension"),  # 2^(p-1) solves are cheaper
+            (PAIRS_HALF, 8, 10, 0.0, "extension"),
             (PAIRS_HALF, 7, 20, 0.0, "extension"),  # cells exceed their budget
             (UNSTRUCTURED, 5, 8, 0.5, "extension"),  # any positive margin
         ]
-        # coincident or antipodal pairs: cells priced on the distinct points
+        # coincident pairs, priced on the distinct points, have large counts;
+        # antipodal pairs are UNSAT at the first solve
         + [
             (StructureSpec.pairs(1.0), 7, 12, 0.0, "cells"),
             (StructureSpec.pairs(1.0), 6, 10, 0.0, "cells"),
-            (StructureSpec.pairs(-1.0), 6, 10, 0.0, "cells"),
+            (StructureSpec.pairs(-1.0), 6, 10, 0.0, "extension"),
         ]
-        + [(PAIRS_HALF, 10, 24, 0.0, "extension")],  # p > 22, cells exceed their budget
+        + [(UNSTRUCTURED, 3, 60, 0.0, "cells")],  # 3,542 labelings, 47 solves' budget
     )
     def test_auto_backend_choice(self, spec, n, p, margin, method):
         ds = sample_dataset(spec, n, p, Rng(20, (n, p)))
-        assert _pick_method(ds, margin)[0] == method
+        assert count_admissible_dichotomies(ds, margin).method == method
 
     def test_margin_requires_nonnegative(self):
         ds = sample_dataset(UNSTRUCTURED, 3, 2, Rng(19))
@@ -427,12 +432,15 @@ class TestExtensionEngine:
             return dedupe_directions(points)
 
         monkeypatch.setattr("vclab.montecarlo.dedupe_directions", recording)
-        for p, sat in ((4, True), (30, False)):
-            ds = sample_dataset(PAIRS_HALF, 3, p, Rng(73))
-            assert _pick_method(ds, 0.0)[0] == "cells"
+        datasets = [sample_dataset(PAIRS_HALF, 3, p, Rng(73)) for p in (4, 30)]
+        for ds, sat in zip(datasets, (True, False)):
             assert admissible_exists(ds) == SatProbe(int(sat), sat, not sat, "extension")
-        assert calls == [2 * 4, 2 * 30]  # from the two picks above
-        assert scans == []
+        assert calls == [] and scans == []
+        # a count dedupes once to price its race, and both races are lost
+        # (the UNSAT walk at p = 30 needs more than its 47 solves)
+        methods = [count_admissible_dichotomies(ds).method for ds in datasets]
+        assert methods == ["cells", "cells"]
+        assert calls == [2 * 4, 2 * 30] and scans == [4, 30]
 
 
 class TestExistence:
@@ -524,6 +532,66 @@ def first_unsat_prefix(dataset: Dataset, margin: float) -> int:
     return dataset.p + 1
 
 
+def race_budget(dataset: Dataset) -> float:
+    """The solves a margin-0 count gives the extension engine: the price of
+    the cell scan of the distinct points over `CELLS_PER_SOLVE`."""
+    flat = dataset.flat
+    rank = numerical_rank(np.linalg.svd(flat, compute_uv=False), flat.shape)
+    return cell_scan_cost(len(dedupe_directions(flat)[0]), rank) / montecarlo.CELLS_PER_SOLVE
+
+
+class TestCountingRace:
+    def test_race_matches_both_forced_backends(self):
+        # the race's count against the drained cell scan and the drained
+        # engine, both forced, on degenerate inputs too
+        datasets = [
+            sample_dataset(StructureSpec.pairs(rho), n, p, Rng(74, (i, n, p)))
+            for i, rho in enumerate((-1.0, -0.5, 0.0, 0.5, 0.8, 1.0))
+            for n, p in ((3, 5), (3, 12), (4, 7), (4, 11), (5, 8), (5, 12), (6, 9))
+        ]
+        datasets += [sample_dataset(UNSTRUCTURED, n, p, Rng(75, (n, p)))
+                     for n, p in ((2, 9), (3, 15), (4, 12), (5, 11))]
+        datasets.append(sample_dataset(StructureSpec.equicorrelated(3, 0.2), 4, 8, Rng(76)))
+        for n in (3, 4, 5):
+            # duplicate and antipodal points, and a rank drop into R^(n+1)
+            pts = rank_r_points(n, n, 2 * n + 3, (n, 3))
+            datasets.append(points_dataset(np.vstack([pts, pts[1], -pts[3], -pts[1]])))
+            datasets.append(points_dataset(rank_r_points(n + 1, n, 2 * n + 4, (n, 4))))
+        methods = Counter()
+        for i, ds in enumerate(datasets):
+            cells = drained(cells_labelings, ds, 0.0)
+            assert drained(_extension_labelings, ds, 0.0) == cells, i
+            probe = count_admissible_dichotomies(ds)
+            assert probe == SatProbe(len(cells), bool(cells), True, probe.method), i
+            methods[probe.method] += 1
+        assert methods["cells"] >= 5 and methods["extension"] >= 5
+
+    def test_few_labelings_are_counted_by_the_engine(self, scans, solves):
+        # a dataset of the n = 5 pairs counting workload: a few hundred
+        # solves against a scan of 170,016 candidates
+        ds = sample_dataset(PAIRS_HALF, 5, 12, Rng(77))
+        count = len(list(cells_labelings(ds)))
+        scans.clear()
+        assert count_admissible_dichotomies(ds) == SatProbe(count, True, True, "extension")
+        assert scans == []
+        assert 0 < len(solves) <= race_budget(ds) / 3
+
+    def test_large_count_overflows_to_cells(self, monkeypatch, scans, solves):
+        # k = 1 at n = 3, p = 60: 3,542 labelings take tens of thousands of solves,
+        # so the engine stops at its budget and cells count
+        ds = sample_dataset(UNSTRUCTURED, 3, 60, Rng(78))
+        probe = count_admissible_dichotomies(ds)
+        assert probe == SatProbe(cover_count_exact(3, 60), True, True, "cells")
+        assert race_budget(ds) == cell_scan_cost(60, 3) / montecarlo.CELLS_PER_SOLVE
+        assert len(solves) == math.floor(race_budget(ds))
+        assert scans == [60]
+        # `MAX_SOLVES` below the race budget still refuses the count
+        monkeypatch.setattr("vclab.montecarlo.MAX_SOLVES", 10)
+        with pytest.raises(BudgetError, match="random-classifier probe"):
+            count_admissible_dichotomies(ds)
+        assert scans == [60]
+
+
 class TestPrefixCertificate:
     def test_threshold_matches_per_prefix_oracles(self):
         cases = [
@@ -554,36 +622,44 @@ class TestPrefixCertificate:
         # all-SAT datasets, and UNSAT ones past their second multiplet, both occur
         assert outcomes[True, True] >= 3 and outcomes[False, True] >= 20
 
-    def test_decisions_and_counts_match_full_set_scan(self):
-        # the whole-dataset cell scan, or the sign-vector oracle where the
-        # engine counts, is the oracle for both the decision and the exact count
+    def test_decisions_and_counts_match_full_set_scan(self, solves):
+        # the whole-dataset cell scan at margin 0, or the sign-vector oracle
+        # above it, is the oracle for both the decision and the exact count;
+        # at margin 0 the engine counts within the race's budget, else cells do
         cases = [
-            (StructureSpec.pairs(rho), 3, p, 0.0, "cells")
+            (StructureSpec.pairs(rho), 3, p, 0.0)
             for rho in (-1.0, -0.5, 0.0, 0.5, 0.8, 1.0)
             for p in (6, 9, 17, 30)
         ]
-        cases += [(UNSTRUCTURED, 3, p, 0.5, "extension") for p in (9, 12)]
-        cases += [(PAIRS_HALF, 8, 10, 0.0, "extension")]
-        cases += [(UNSTRUCTURED, 4, p, 0.5, "extension") for p in (9, 10)]
+        cases += [(UNSTRUCTURED, 3, p, 0.5) for p in (9, 12)]
+        cases += [(PAIRS_HALF, 8, 10, 0.0)]
+        cases += [(UNSTRUCTURED, 4, p, 0.5) for p in (9, 10)]
         outcomes = Counter()
-        for i, (spec, n, p, margin, method) in enumerate(cases):
+        for i, (spec, n, p, margin) in enumerate(cases):
             for t in range(3):
                 ds = sample_dataset(spec, n, p, Rng(61, (i, t)))
-                labelings = cells_labelings if method == "cells" else sigma_labelings
+                labelings = cells_labelings if margin == 0.0 else sigma_labelings
                 count = len(list(labelings(ds, margin)))
                 sat = count > 0
                 assert admissible_exists(ds, margin=margin) == SatProbe(
                     int(sat), sat, not sat, "extension"
                 )
-                assert count_admissible_dichotomies(ds, margin=margin) == SatProbe(
-                    count, sat, True, method
-                )
-                outcomes[method, sat] += 1
+                solves.clear()
+                probe = count_admissible_dichotomies(ds, margin=margin)
+                assert probe == SatProbe(count, sat, True, probe.method)
+                if margin > 0:
+                    assert probe.method == "extension"
+                elif probe.method == "extension":
+                    assert len(solves) <= race_budget(ds)
+                else:  # the walk stopped at its budget
+                    assert len(solves) == math.floor(race_budget(ds))
+                outcomes[probe.method, sat] += 1
         assert min(outcomes.values()) >= 2 and len(outcomes) == 4
 
     def test_unsat_cells_count_needs_no_scan(self, scans, solves):
+        # the race's walk certifies UNSAT at the first solve, within its budget
         ds = antipodal_pairs(3, 20, 62)
-        assert count_admissible_dichotomies(ds) == SatProbe(0, False, True, "cells")
+        assert count_admissible_dichotomies(ds) == SatProbe(0, False, True, "extension")
         assert scans == []
         assert solves == [2]  # the first multiplet's antipodal points
 
