@@ -371,13 +371,13 @@ def cmd_count(cfg: dict) -> int:
     trials = cfg["trials"]
     if trials:
         for i, n in enumerate(n_list):
-            for j, alpha in enumerate(grid):
-                p = int(round(alpha * n))
-                if p < 1:
-                    continue
-                mean, err = estimate_mean_count(
-                    spec, n, p, trials, rng.substream(i, j), threads=cfg["threads"]
-                )
+            loads = [p for p in (int(round(alpha * n)) for alpha in grid) if p >= 1]
+            if not loads:
+                continue
+            means = estimate_mean_count(
+                spec, n, loads, trials, rng.substream(i), threads=cfg["threads"]
+            )
+            for p, (mean, err) in zip(loads, means):
                 logc = math.log(mean) if mean > 0 else NEG_INF
                 log_err = err / mean if mean > 0 else 0.0
                 rows.append(
@@ -418,7 +418,9 @@ def _gnuplot_count(csv_path: str, n_list: list[int]) -> str:
 
 def cmd_transition(cfg: dict) -> int:
     method = cfg["method"]
-    if method == METHOD_ANNEALED_MARGIN or cfg.get("kappa") is not None:
+    if method != METHOD_ANNEALED_MARGIN and cfg.get("kappa") is not None:
+        raise ValidationError(f"--kappa needs --method {METHOD_ANNEALED_MARGIN}, not {method}")
+    if method == METHOD_ANNEALED_MARGIN:
         if cfg.get("kappa") is None:
             raise ValidationError("margin method needs --kappa")
         result = annealed_threshold_margin(cfg["kappa"])
@@ -531,13 +533,6 @@ def cmd_mc(cfg: dict) -> int:
         spec = StructureSpec.unstructured()
         margin = cfg["kappa"]
         knob = margin
-    def _progress(point, done, total):
-        print(
-            f"[{done}/{total}] alpha={point.alpha:g} p={point.p} "
-            f"sat_fraction={point.fraction:.4f} +- {point.stderr:.4f}",
-            file=sys.stderr,
-        )
-
     points = sat_fraction_scan(
         spec,
         n,
@@ -545,12 +540,16 @@ def cmd_mc(cfg: dict) -> int:
         trials,
         rng,
         margin=margin,
-        probe=cfg["probe"],
+        probe="count" if cfg["with_counts"] else cfg["probe"],
         num_weights=cfg["num_weights"],
         threads=cfg["threads"],
-        with_counts=cfg["with_counts"],
-        progress=_progress,
     )
+    for done, q in enumerate(points, 1):
+        print(
+            f"[{done}/{len(points)}] alpha={q.alpha:g} p={q.p} "
+            f"sat_fraction={q.fraction:.4f} +- {q.stderr:.4f}",
+            file=sys.stderr,
+        )
     try:
         cross, cross_err = crossover_load(points)
         print(
@@ -688,7 +687,7 @@ COMMANDS: dict[str, _Command] = {
         "out": "count.csv", "plot_script": None,
         "seed": 0, "threads": 1},
         own={"trials": Option("--trials", _INT, "Monte Carlo trials per point, 0 = analytic only",
-                              _at_least(0))}),
+                              _Rule(lambda x: x == 0 or x >= 2, "0 or >= 2"))}),
     "transition": _Command(cmd_transition, "one critical load as JSON", {
         "method": METHOD_COMBINATORIAL, "rho": None, "kappa": None,
         "theta0": None, "theta1": 1.0}),

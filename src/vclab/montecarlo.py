@@ -39,13 +39,13 @@ cheaper backend, with no model of the engine's worst case; the budget
 counts solves, not seconds, so a dataset takes the same backend on every
 run and machine.
 
-A scan trial is one multiplet sequence from its (master seed, trial index)
+A trial is one multiplet sequence from its (master seed, trial index)
 stream; load p reads its first p multiplets, which are the draw of p alone.
-An exact decision reads every load off one walk; counting and
+A scan's exact decision reads every load off one walk; its counting and
 random-classifier trials probe the loads in ascending order up to the first
 UNSAT one.  A counting probe also decides SAT, so mean counts and SAT
-fractions describe the same disorder.  A library call runs its trials
-through one process pool and reduces them in trial order, so results are
+fractions describe the same disorder.  A library call runs its jobs
+through one process pool and reduces them in job order, so results are
 bit-reproducible for any worker count.
 """
 
@@ -105,6 +105,13 @@ class Dataset:
     n: int
     p: int
     points: np.ndarray  # (p, k, n)
+
+    def __post_init__(self):
+        if np.shape(self.points) != (self.p, self.spec.k, self.n):
+            raise ValidationError(
+                f"points of shape {np.shape(self.points)} do not hold p={self.p} "
+                f"multiplets of k={self.spec.k} points in R^{self.n}"
+            )
 
     @property
     def flat(self) -> np.ndarray:
@@ -415,21 +422,26 @@ def _mean_stderr(counts: list[int]) -> tuple[float, float]:
 def estimate_mean_count(
     spec: StructureSpec,
     n: int,
-    p: int,
+    loads: list[int],
     trials: int,
     rng: Rng,
     threads: int = 1,
-) -> tuple[float, float]:
+) -> list[tuple[float, float]]:
     """Mean admissible-dichotomy count (at margin 0) over independent
-    disorder trials.
+    disorder trials: (mean, standard error) at each load.  The error is zero
+    whenever the count is deterministic (e.g. k=1 in general position).
 
-    Returns (mean, standard error); the error is zero whenever the count is
-    deterministic (e.g. unstructured data in general position).
+    Trial t is one multiplet sequence from ``rng.substream(t)``; load p
+    counts its first p multiplets.  Each (load, trial) is one job, counted
+    in full, load-major; all share one process pool.
     """
     if trials < 2:
         raise ValidationError("need at least 2 trials for a standard error")
-    jobs = [(spec, n, [p], 0.0, _COUNT, 0, rng.substream(t)) for t in range(trials)]
-    return _mean_stderr([counts[0] for counts in _map_ordered(_trial_worker, jobs, threads)])
+    if not loads or min(loads) < 1:
+        raise ValidationError(f"need a non-empty list of loads p >= 1, got {loads}")
+    jobs = [(spec, n, [p], 0.0, _COUNT, 0, rng.substream(t)) for p in loads for t in range(trials)]
+    counts = [c for c, in _map_ordered(_trial_worker, jobs, threads)]
+    return [_mean_stderr(counts[i : i + trials]) for i in range(0, len(counts), trials)]
 
 
 def sat_fraction_scan(
@@ -442,25 +454,22 @@ def sat_fraction_scan(
     probe: str = _ENUMERATE,
     num_weights: int = 10000,
     threads: int = 1,
-    with_counts: bool = False,
-    progress=None,
 ) -> list[PhasePoint]:
     """Fraction of disorder realizations admitting a realizable labeling.
 
     One point per load value, p = round(alpha * n); margin scans use k=1
-    specs with the margin as the constraint.  ``probe`` selects the exact
-    decision (``"enumerate"``) or the random-classifier witness search
-    (``"random-classifier"``); ``with_counts`` counts exactly, which also
-    decides SAT.  Trial t is one multiplet sequence: it draws the largest
-    load's multiplets once from ``rng.substream(t)`` (a random-classifier
-    probe takes its directions from ``rng.substream(t, 1)``), and load p
-    reads its first p, so every point sees the same disorder.  All trials
-    share one process pool; ``progress(point, done, total)`` is called
-    once per point after all trials.
+    specs with the margin as the constraint.  ``probe`` is the exact
+    decision (``"enumerate"``), the exact count (``"count"``, which also
+    decides SAT and fills each point's mean count) or the random-classifier
+    witness search (``"random-classifier"``).  Trial t is one multiplet
+    sequence: it draws the largest load's multiplets once from
+    ``rng.substream(t)`` (a random-classifier probe takes its directions
+    from ``rng.substream(t, 1)``), and load p reads its first p, so every
+    point sees the same disorder.  All trials share one process pool.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    if probe not in (_ENUMERATE, METHOD_RANDOM):
+    if probe not in (_ENUMERATE, _COUNT, METHOD_RANDOM):
         raise ValidationError(f"unknown probe {probe!r}")
     if not alpha_grid:
         raise ValidationError("alpha grid must be nonempty")
@@ -471,9 +480,9 @@ def sat_fraction_scan(
     for alpha, p in zip(alpha_grid, loads):
         if p < 1:
             raise ValidationError(f"alpha={alpha} gives p={p} < 1 at n={n}")
-    kind = _COUNT if with_counts else probe
     distinct = sorted(set(loads))
-    jobs = [(spec, n, distinct, margin, kind, num_weights, rng.substream(t)) for t in range(trials)]
+    jobs = [(spec, n, distinct, margin, probe, num_weights, rng.substream(t))
+            for t in range(trials)]
     # per load, the counts of every trial in trial order
     counts = dict(zip(distinct, zip(*_map_ordered(_trial_worker, jobs, threads))))
     points: list[PhasePoint] = []
@@ -481,13 +490,10 @@ def sat_fraction_scan(
         frac = float(np.mean([c > 0 for c in counts[p]]))
         stderr = math.sqrt(frac * (1.0 - frac) / trials)
         mean_count = count_stderr = None
-        if with_counts:
+        if probe == _COUNT:
             mean_count, count_stderr = _mean_stderr(counts[p])
-        point = PhasePoint(alpha=alpha, p=p, trials=trials, fraction=frac, stderr=stderr,
-                           mean_count=mean_count, count_stderr=count_stderr)
-        points.append(point)
-        if progress is not None:
-            progress(point, len(points), len(alpha_grid))
+        points.append(PhasePoint(alpha=alpha, p=p, trials=trials, fraction=frac, stderr=stderr,
+                                 mean_count=mean_count, count_stderr=count_stderr))
     return points
 
 

@@ -81,8 +81,8 @@ def _table_vs_sampled(spec, key, trials):
     table = build_count_table(theta_coefficients(spec), n_max=3, p_max=4)
     for n in (2, 3):
         for p in (2, 3, 4):
-            mean, err = estimate_mean_count(
-                spec, n, p, trials, Rng(300, (key, n, p)), threads=THREADS
+            (mean, err), = estimate_mean_count(
+                spec, n, [p], trials, Rng(300, (key, n, p)), threads=THREADS
             )
             yield n, p, math.exp(table.log_count(n, p)), mean, err
 

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from vclab import __version__
+from vclab import __version__, montecarlo
 from vclab.cli import COMMANDS, OPTIONS, main
 
 
@@ -43,6 +43,12 @@ class TestTransition:
         code, out, _ = run(capsys, "transition", "--kappa", "1", "--method", "annealed-margin")
         assert code == 0
         assert json.loads(out)["alpha_star"] == pytest.approx(0.7672, abs=1e-4)
+
+    @pytest.mark.parametrize("method", ["annealed-pairs", "combinatorial"])
+    def test_kappa_needs_the_margin_method(self, capsys, method):
+        code, out, _ = run(capsys, "transition", "--method", method, "--rho", "0.5", "--kappa", "1")
+        assert code == 1
+        assert json.loads(out)["error"] == "ValidationError"
 
     def test_annealed_pairs(self, capsys):
         code, out, _ = run(capsys, "transition", "--rho", "0", "--method", "annealed-pairs")
@@ -119,6 +125,23 @@ class TestCount:
         assert code == 0
         rows = data_lines(out)
         assert all(r.startswith("montecarlo") for r in rows[1:])
+
+    def test_counts_every_load_of_every_trial_load_major(self, capsys, tmp_path, monkeypatch):
+        # the benchmark reads the exact counts in this call order
+        loads = []
+        inner = montecarlo.count_admissible_dichotomies
+
+        def recording(dataset, *args, **kwargs):
+            loads.append(dataset.p)
+            return inner(dataset, *args, **kwargs)
+
+        monkeypatch.setattr("vclab.montecarlo.count_admissible_dichotomies", recording)
+        code, _, _ = run(
+            capsys, "count", "--k", "2", "--rho", "0.5", "--n", "3", "--alpha", "2,3,4,5",
+            "--trials", "3", "--threads", "1", "--out", str(tmp_path / "count.csv"),
+        )
+        assert code == 0
+        assert loads == [p for p in (6, 9, 12, 15) for _ in range(3)]
 
     def test_nonpositive_dimension_is_out_of_grid(self, capsys, tmp_path):
         code, out, _ = run(
@@ -547,16 +570,20 @@ class TestOptionTable:
         assert payload["error"] == "ValidationError"
         assert f"config value {key}=" in payload["message"]
 
-    @pytest.mark.parametrize("command, low", [("count", 0), ("mc", 1), ("phase-diagram", 1)])
-    def test_trials_minimum_per_command(self, capsys, tmp_path, command, low):
+    @pytest.mark.parametrize(
+        "command, rule, bad",
+        [("count", "0 or >= 2", 1), ("mc", ">= 1", 0), ("phase-diagram", ">= 1", 0)],
+        ids=["count-0", "mc-1", "phase-diagram-1"],  # the lowest allowed value
+    )
+    def test_trials_minimum_per_command(self, capsys, tmp_path, command, rule, bad):
         with pytest.raises(SystemExit):
             main([command, "--help"])
         text = " ".join(capsys.readouterr().out.split())
-        assert re.search(rf"--trials INT [^;]*; >= {low}; default", text)
-        argv = [command, *SEEDED[command], "--trials", str(low - 1), "--out", str(tmp_path / "x")]
+        assert re.search(rf"--trials INT [^;]*; {rule}; default", text)
+        argv = [command, *SEEDED[command], "--trials", str(bad), "--out", str(tmp_path / "x")]
         code, out, _ = run(capsys, *argv)
         assert code == 1
-        assert json.loads(out)["message"] == f"trials (--trials) must be >= {low}, got {low - 1}"
+        assert json.loads(out)["message"] == f"trials (--trials) must be {rule}, got {bad}"
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))

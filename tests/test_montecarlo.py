@@ -1,6 +1,7 @@
 """Tests for disorder sampling and the satisfiability probes."""
 
 import math
+import re
 from collections import Counter
 from itertools import product
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from vclab import montecarlo
+from vclab.cli import main
 from vclab.errors import BudgetError, DimensionError, ValidationError
 from vclab.montecarlo import (
     Dataset,
@@ -177,6 +179,15 @@ class TestSampling:
         for p in (0, -1):
             with pytest.raises(ValidationError):
                 sample_dataset(PAIRS_HALF, 3, p, Rng(9))
+
+    @pytest.mark.parametrize("probe", [admissible_exists, count_admissible_dichotomies])
+    def test_fields_must_match_the_points(self, probe):
+        # the 30 multiplets are UNSAT; read as p=3 they would answer for the
+        # first 3 only
+        points = sample_dataset(PAIRS_HALF, 3, 30, Rng(5)).points
+        for spec, n, p in ((PAIRS_HALF, 3, 3), (UNSTRUCTURED, 3, 30), (PAIRS_HALF, 2, 30)):
+            with pytest.raises(ValidationError):
+                probe(Dataset(spec=spec, n=n, p=p, points=points))
 
 
 class TestCounting:
@@ -720,7 +731,7 @@ class TestRandomClassifierProbe:
 
 class TestMeanCount:
     def test_unstructured_deterministic(self):
-        mean, err = estimate_mean_count(UNSTRUCTURED, 3, 2, 30, Rng(40))
+        (mean, err), = estimate_mean_count(UNSTRUCTURED, 3, [2], 30, Rng(40))
         assert mean == 4.0
         assert err == 0.0
 
@@ -744,9 +755,9 @@ class TestMeanCount:
         # two pairs in the plane: the mean admissible count is exactly
         # 4*psi2(rho) (sector-intersection argument); at rho=0 the count is
         # deterministically 2
-        mean, err = estimate_mean_count(StructureSpec.pairs(0.0), 2, 2, 200, Rng(43))
+        (mean, err), = estimate_mean_count(StructureSpec.pairs(0.0), 2, [2], 200, Rng(43))
         assert mean == 2.0 and err == 0.0
-        mean, err = estimate_mean_count(PAIRS_HALF, 2, 2, 800, Rng(44))
+        (mean, err), = estimate_mean_count(PAIRS_HALF, 2, [2], 800, Rng(44))
         assert err > 0
         assert abs(mean - 4 * psi2(0.5)) <= 3 * err
 
@@ -761,7 +772,7 @@ class TestMeanCount:
         table = build_count_table(theta, n_max=6, p_max=4)
         gaps = {}
         for n, trials in ((2, 400), (3, 400), (6, 400)):
-            mean, err = estimate_mean_count(PAIRS_HALF, n, 4, trials, Rng(45, n))
+            (mean, err), = estimate_mean_count(PAIRS_HALF, n, [4], trials, Rng(45, n))
             rec = math.exp(table.log_count(n, 4))
             gaps[n] = (rec - mean) / rec
             assert rec >= mean - 3 * err
@@ -774,21 +785,41 @@ class TestMeanCount:
         # exactly 2^p, pinning theta_2 = 1 - psi_2
         theta = theta_coefficients(PAIRS_HALF)
         table = build_count_table(theta, n_max=40, p_max=4)
-        mean, err = estimate_mean_count(PAIRS_HALF, 40, 4, 20, Rng(46))
+        (mean, err), = estimate_mean_count(PAIRS_HALF, 40, [4], 20, Rng(46))
         assert mean == 16.0 and err == 0.0
         assert math.exp(table.log_count(40, 4)) == pytest.approx(16.0, rel=1e-12)
 
+    def test_loads_share_one_sequence_per_trial(self):
+        # the mean at load 3 counts the first 3 multiplets of the load-5 draw
+        rng = Rng(48)
+        (small, _), (large, _) = estimate_mean_count(PAIRS_HALF, 3, [3, 5], 6, rng)
+        for p, mean in ((3, small), (5, large)):
+            counts = [
+                count_admissible_dichotomies(Dataset(
+                    spec=PAIRS_HALF, n=3, p=p,
+                    points=sample_dataset(PAIRS_HALF, 3, 5, rng.substream(t)).points[:p],
+                )).count
+                for t in range(6)
+            ]
+            assert mean == np.mean(counts)
+
+    def test_refuses_bad_loads_before_any_job(self, monkeypatch):
+        monkeypatch.setattr("vclab.montecarlo._trial_worker", None)
+        for loads in ([], [3, 0], [-1]):
+            with pytest.raises(ValidationError):
+                estimate_mean_count(PAIRS_HALF, 3, loads, 4, Rng(0))
+
     def test_requires_two_trials(self):
         with pytest.raises(ValidationError):
-            estimate_mean_count(UNSTRUCTURED, 3, 2, 1, Rng(0))
+            estimate_mean_count(UNSTRUCTURED, 3, [2], 1, Rng(0))
 
     def test_requires_a_worker(self):
         with pytest.raises(ValidationError):
-            estimate_mean_count(UNSTRUCTURED, 3, 2, 4, Rng(0), threads=0)
+            estimate_mean_count(UNSTRUCTURED, 3, [2], 4, Rng(0), threads=0)
 
     def test_threads_do_not_change_results(self):
-        a = estimate_mean_count(PAIRS_HALF, 3, 4, 24, Rng(47), threads=1)
-        b = estimate_mean_count(PAIRS_HALF, 3, 4, 24, Rng(47), threads=2)
+        a = estimate_mean_count(PAIRS_HALF, 3, [4, 2, 6], 24, Rng(47), threads=1)
+        b = estimate_mean_count(PAIRS_HALF, 3, [4, 2, 6], 24, Rng(47), threads=2)
         assert a == b
 
 
@@ -824,10 +855,10 @@ class TestSatFractionScan:
         assert pts[0].fraction == 1.0
 
     def test_with_counts(self):
-        pts = sat_fraction_scan(UNSTRUCTURED, 3, [1.0], 10, Rng(54), with_counts=True)
+        pts = sat_fraction_scan(UNSTRUCTURED, 3, [1.0], 10, Rng(54), probe="count")
         assert pts[0].mean_count == 8.0  # p = n: full expressivity, every trial
         assert pts[0].count_stderr == 0.0
-        paired = sat_fraction_scan(PAIRS_HALF, 3, [1.0], 10, Rng(54), with_counts=True)
+        paired = sat_fraction_scan(PAIRS_HALF, 3, [1.0], 10, Rng(54), probe="count")
         assert 0.0 < paired[0].mean_count < 8.0  # kp = 6 points in R^3
 
     def test_counts_share_the_sat_disorder(self):
@@ -835,7 +866,7 @@ class TestSatFractionScan:
         # every UNSAT trial 0, so on shared disorder the mean count bounds
         # twice the SAT fraction and vanishes exactly with it
         grid = [2, 3, 4, 5, 6]
-        pts = sat_fraction_scan(PAIRS_HALF, 3, grid, 8, Rng(57), with_counts=True)
+        pts = sat_fraction_scan(PAIRS_HALF, 3, grid, 8, Rng(57), probe="count")
         plain = sat_fraction_scan(PAIRS_HALF, 3, grid, 8, Rng(57))
         assert [q.fraction for q in pts] == [q.fraction for q in plain]
         for q in pts:
@@ -846,7 +877,7 @@ class TestSatFractionScan:
         "spec, loads, kwargs",
         [
             (PAIRS_HALF, range(8, 21), {}),
-            (PAIRS_HALF, range(8, 21), {"with_counts": True}),
+            (PAIRS_HALF, range(8, 21), {"probe": "count"}),
             (PAIRS_HALF, range(6, 19), {"probe": "random-classifier", "num_weights": 500}),
             (UNSTRUCTURED, range(2, 14), {"margin": 0.5}),
         ],
@@ -861,7 +892,7 @@ class TestSatFractionScan:
         assert fracs[0] == 1.0 and fracs[-1] < 0.5
 
     def test_duplicate_and_unsorted_loads(self):
-        for kwargs in ({}, {"with_counts": True}):
+        for kwargs in ({}, {"probe": "count"}):
             plain = sat_fraction_scan(PAIRS_HALF, 3, [2, 3, 4, 5], 10, Rng(57), **kwargs)
             plain = {q.alpha: q for q in plain}
             mixed = sat_fraction_scan(PAIRS_HALF, 3, [4, 2, 5, 4, 3], 10, Rng(57), **kwargs)
@@ -878,7 +909,7 @@ class TestSatFractionScan:
 
         monkeypatch.setattr(f"vclab.montecarlo.{name}", recording)
         grid = [1, 2, 3, 4, 5, 6, 8]
-        kwargs = {"with_counts": True} if name.startswith("count") else {
+        kwargs = {"probe": "count"} if name.startswith("count") else {
             "probe": "random-classifier", "num_weights": 500}
         total = 0
         for t in range(8):
@@ -906,8 +937,8 @@ class TestSatFractionScan:
         a = sat_fraction_scan(PAIRS_HALF, 3, [2, 4], 16, Rng(55), threads=1)
         b = sat_fraction_scan(PAIRS_HALF, 3, [2, 4], 16, Rng(55), threads=2)
         assert [q.fraction for q in a] == [q.fraction for q in b]
-        a = sat_fraction_scan(PAIRS_HALF, 3, [2, 4], 6, Rng(55), threads=1, with_counts=True)
-        b = sat_fraction_scan(PAIRS_HALF, 3, [2, 4], 6, Rng(55), threads=2, with_counts=True)
+        a = sat_fraction_scan(PAIRS_HALF, 3, [2, 4], 6, Rng(55), threads=1, probe="count")
+        b = sat_fraction_scan(PAIRS_HALF, 3, [2, 4], 6, Rng(55), threads=2, probe="count")
         assert [(q.fraction, q.mean_count, q.count_stderr) for q in a] == [
             (q.fraction, q.mean_count, q.count_stderr) for q in b
         ]
@@ -942,19 +973,28 @@ def pools(monkeypatch):
 
 
 class TestPool:
-    def test_one_pool_per_scan_and_progress_per_point(self, pools):
+    def test_one_pool_per_scan_and_progress_per_point(self, pools, capsys, tmp_path):
         for threads, created in ((2, 1), (1, 0)):
             pools.clear()
-            calls = []
-            sat_fraction_scan(
-                PAIRS_HALF, 3, [1, 2, 3], 4, Rng(58), threads=threads,
-                progress=lambda point, done, total: calls.append((done, total)),
-            )
+            sat_fraction_scan(PAIRS_HALF, 3, [1, 2, 3], 4, Rng(58), threads=threads)
             assert len(pools) == created
-            assert calls == [(1, 3), (2, 3), (3, 3)]
+        # `vclab mc` reports each point on stderr, in grid order
+        pools.clear()
+        argv = ["mc", "--rho", "0.5", "--n", "3", "--alpha", "3,1,2", "--trials", "4",
+                "--threads", "2", "--out", str(tmp_path / "mc.csv")]
+        assert main(argv) == 0
+        assert len(pools) == 1
+        lines = re.findall(r"^\[(\d+)/(\d+)\] alpha=(\S+) ", capsys.readouterr().err, re.M)
+        assert lines == [("1", "3", "3"), ("2", "3", "1"), ("3", "3", "2")]
+
+    def test_one_pool_per_count_dimension(self, pools, tmp_path):
+        argv = ["count", "--k", "2", "--rho", "0.5", "--n", "3", "--alpha", "1,2,3",
+                "--trials", "2", "--threads", "2", "--out", str(tmp_path / "count.csv")]
+        assert main(argv) == 0
+        assert len(pools) == 1
 
     def test_pool_size_clamped_to_jobs(self, pools):
-        estimate_mean_count(PAIRS_HALF, 3, 4, 3, Rng(59), threads=64)
+        estimate_mean_count(PAIRS_HALF, 3, [4], 3, Rng(59), threads=64)
         sat_fraction_scan(PAIRS_HALF, 3, [1.0], 1, Rng(59), threads=64)
         assert [pool.max_workers for pool in pools] == [3]
 
