@@ -58,7 +58,12 @@ from .errors import (
     ValidationError,
     VclabError,
 )
-from .montecarlo import crossover_load, estimate_mean_count, sat_fraction_scan
+from .montecarlo import (
+    crossover_load,
+    estimate_mean_count,
+    sat_fraction_scan,
+    sat_fraction_scans,
+)
 from .numerics import NEG_INF, Rng
 from .recursion import build_count_table, crossing_load
 from .structure import StructureSpec, psi2, psi_m_estimate, psi_vector, theta_coefficients
@@ -469,26 +474,15 @@ def cmd_phase_diagram(cfg: dict) -> int:
                 )
         _write_csv(f"{stem}.crossing.csv", cfg, ["rho", "n1", "n2", "alpha_cross", "method"], rows)
     if "mc" in layers:
-        rows = []
-        n = cfg["mc_n"]
-        grid = cfg["alpha_grid"]
-        trials = cfg["trials"]
-        for i, rho in enumerate(rho_grid):
-            spec = StructureSpec.pairs(rho)
-            points = sat_fraction_scan(
-                spec, n, grid, trials, rng.substream(i), threads=cfg["threads"]
-            )
-            for q in points:
-                rows.append(
-                    (
-                        _f(rho),
-                        _f(q.alpha),
-                        str(q.p),
-                        str(q.trials),
-                        _f(q.fraction),
-                        _f(q.stderr),
-                    )
-                )
+        scans = [(StructureSpec.pairs(rho), rng.substream(i)) for i, rho in enumerate(rho_grid)]
+        scanned = sat_fraction_scans(
+            scans, cfg["mc_n"], cfg["alpha_grid"], cfg["trials"], threads=cfg["threads"]
+        )
+        rows = [
+            (_f(rho), _f(q.alpha), str(q.p), str(q.trials), _f(q.fraction), _f(q.stderr))
+            for rho, points in zip(rho_grid, scanned)
+            for q in points
+        ]
         _write_csv(
             f"{stem}.mc.csv", cfg, ["rho", "alpha", "p", "trials", "sat_fraction", "stderr"], rows
         )
@@ -533,6 +527,8 @@ def cmd_mc(cfg: dict) -> int:
         spec = StructureSpec.unstructured()
         margin = cfg["kappa"]
         knob = margin
+    if cfg["with_counts"] and cfg["probe"] != "enumerate":
+        raise ValidationError(f"--with-counts counts exactly; it cannot take --probe {cfg['probe']}")
     points = sat_fraction_scan(
         spec,
         n,

@@ -46,7 +46,9 @@ random-classifier trials probe the loads in ascending order up to the first
 UNSAT one.  A counting probe also decides SAT, so mean counts and SAT
 fractions describe the same disorder.  A library call runs its jobs
 through one process pool and reduces them in job order, so results are
-bit-reproducible for any worker count.
+bit-reproducible for any worker count; `sat_fraction_scans` runs the
+trials of several scans (every pair overlap of a phase diagram) as the
+jobs of one call.
 """
 
 from __future__ import annotations
@@ -428,44 +430,51 @@ def estimate_mean_count(
     threads: int = 1,
 ) -> list[tuple[float, float]]:
     """Mean admissible-dichotomy count (at margin 0) over independent
-    disorder trials: (mean, standard error) at each load.  The error is zero
-    whenever the count is deterministic (e.g. k=1 in general position).
+    disorder trials: (mean, standard error) at each load, repeats included.
+    The error is zero whenever the count is deterministic (e.g. k=1 in
+    general position).
 
     Trial t is one multiplet sequence from ``rng.substream(t)``; load p
-    counts its first p multiplets.  Each (load, trial) is one job, counted
-    in full, load-major; all share one process pool.
+    counts its first p multiplets.  Each (distinct load, trial) is one job,
+    counted in full, load-major in first-occurrence order; all share one
+    process pool.
     """
     if trials < 2:
         raise ValidationError("need at least 2 trials for a standard error")
     if not loads or min(loads) < 1:
         raise ValidationError(f"need a non-empty list of loads p >= 1, got {loads}")
-    jobs = [(spec, n, [p], 0.0, _COUNT, 0, rng.substream(t)) for p in loads for t in range(trials)]
+    distinct = list(dict.fromkeys(loads))
+    jobs = [(spec, n, [p], 0.0, _COUNT, 0, rng.substream(t))
+            for p in distinct for t in range(trials)]
     counts = [c for c, in _map_ordered(_trial_worker, jobs, threads)]
-    return [_mean_stderr(counts[i : i + trials]) for i in range(0, len(counts), trials)]
+    means = {p: _mean_stderr(counts[i * trials : (i + 1) * trials])
+             for i, p in enumerate(distinct)}
+    return [means[p] for p in loads]
 
 
-def sat_fraction_scan(
-    spec: StructureSpec,
+def sat_fraction_scans(
+    scans: list[tuple[StructureSpec, Rng]],
     n: int,
     alpha_grid: list[float],
     trials: int,
-    rng: Rng,
     margin: float = 0.0,
     probe: str = _ENUMERATE,
     num_weights: int = 10000,
     threads: int = 1,
-) -> list[PhasePoint]:
-    """Fraction of disorder realizations admitting a realizable labeling.
+) -> list[list[PhasePoint]]:
+    """Fraction of disorder realizations admitting a realizable labeling,
+    for each (spec, rng) scan over the same load grid.
 
     One point per load value, p = round(alpha * n); margin scans use k=1
     specs with the margin as the constraint.  ``probe`` is the exact
     decision (``"enumerate"``), the exact count (``"count"``, which also
     decides SAT and fills each point's mean count) or the random-classifier
-    witness search (``"random-classifier"``).  Trial t is one multiplet
-    sequence: it draws the largest load's multiplets once from
+    witness search (``"random-classifier"``).  Trial t of a scan is one
+    multiplet sequence: it draws the largest load's multiplets once from
     ``rng.substream(t)`` (a random-classifier probe takes its directions
     from ``rng.substream(t, 1)``), and load p reads its first p, so every
-    point sees the same disorder.  All trials share one process pool.
+    point of a scan sees the same disorder.  The trials of every scan,
+    scan-major, share one process pool.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
@@ -482,19 +491,40 @@ def sat_fraction_scan(
             raise ValidationError(f"alpha={alpha} gives p={p} < 1 at n={n}")
     distinct = sorted(set(loads))
     jobs = [(spec, n, distinct, margin, probe, num_weights, rng.substream(t))
-            for t in range(trials)]
-    # per load, the counts of every trial in trial order
-    counts = dict(zip(distinct, zip(*_map_ordered(_trial_worker, jobs, threads))))
-    points: list[PhasePoint] = []
-    for alpha, p in zip(alpha_grid, loads):
-        frac = float(np.mean([c > 0 for c in counts[p]]))
-        stderr = math.sqrt(frac * (1.0 - frac) / trials)
-        mean_count = count_stderr = None
-        if probe == _COUNT:
-            mean_count, count_stderr = _mean_stderr(counts[p])
-        points.append(PhasePoint(alpha=alpha, p=p, trials=trials, fraction=frac, stderr=stderr,
-                                 mean_count=mean_count, count_stderr=count_stderr))
-    return points
+            for spec, rng in scans for t in range(trials)]
+    results = _map_ordered(_trial_worker, jobs, threads)
+    scanned = []
+    for i in range(len(scans)):
+        # per load, the counts of every trial of this scan in trial order
+        counts = dict(zip(distinct, zip(*results[i * trials : (i + 1) * trials])))
+        points = []
+        for alpha, p in zip(alpha_grid, loads):
+            frac = float(np.mean([c > 0 for c in counts[p]]))
+            stderr = math.sqrt(frac * (1.0 - frac) / trials)
+            mean_count = count_stderr = None
+            if probe == _COUNT:
+                mean_count, count_stderr = _mean_stderr(counts[p])
+            points.append(PhasePoint(alpha=alpha, p=p, trials=trials, fraction=frac,
+                                     stderr=stderr, mean_count=mean_count,
+                                     count_stderr=count_stderr))
+        scanned.append(points)
+    return scanned
+
+
+def sat_fraction_scan(
+    spec: StructureSpec,
+    n: int,
+    alpha_grid: list[float],
+    trials: int,
+    rng: Rng,
+    margin: float = 0.0,
+    probe: str = _ENUMERATE,
+    num_weights: int = 10000,
+    threads: int = 1,
+) -> list[PhasePoint]:
+    """One scan of `sat_fraction_scans`: its trials share one process pool."""
+    return sat_fraction_scans([(spec, rng)], n, alpha_grid, trials, margin, probe,
+                              num_weights, threads)[0]
 
 
 def crossover_load(points: list[PhasePoint]) -> tuple[float, float]:

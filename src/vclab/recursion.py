@@ -93,29 +93,21 @@ class CountTable:
 def build_count_table(theta: ThetaCoefficients, n_max: int, p_max: int) -> CountTable:
     """Fill the (n, p) grid by iterating the recursion in log domain.
 
-    Each p-step is a weighted log-sum-exp over the k+1 shifted n-rows;
-    zero coefficients enter as log 0 = -inf and drop out exactly.
+    Each p-step is a weighted log-sum-exp over the k+1 shifted n-rows,
+    accumulated in place into the grid's next column; zero coefficients
+    drop out, and so do rows n-l <= 0, since logaddexp(x, -inf) == x.
     """
     if n_max < 1 or p_max < 1:
         raise ValidationError("grid bounds must be >= 1")
-    k = theta.k
-    log_theta = np.array(
-        [math.log(t) if t > 0 else NEG_INF for t in theta.theta]
-    )
+    # (l, log theta_l) for the nonzero coefficients whose shift stays on the grid
+    terms = [(l, math.log(t)) for l, t in enumerate(theta.theta[: n_max + 1]) if t > 0]
     grid = np.full((n_max + 1, p_max + 1), NEG_INF)
     grid[1:, 1] = LOG2
-    col = grid[:, 1].copy()
     for p in range(1, p_max):
-        nxt = np.full(n_max + 1, NEG_INF)
-        for l in range(k + 1):
-            if log_theta[l] == NEG_INF:
-                continue
-            shifted = np.full(n_max + 1, NEG_INF)
-            shifted[l:] = col[: n_max + 1 - l]  # C[n-l, p]; n-l <= 0 contributes 0
-            nxt = np.logaddexp(nxt, log_theta[l] + shifted)
-        nxt[0] = NEG_INF
-        grid[:, p + 1] = nxt
-        col = nxt
+        col, nxt = grid[:, p], grid[:, p + 1]
+        for l, t in terms:
+            # C[n, p+1] += theta_l C[n-l, p]; row 0 of col is -inf, so nxt[0] stays -inf
+            np.logaddexp(nxt[l:], t + col[: n_max + 1 - l], out=nxt[l:])
     return CountTable(theta=theta, n_max=n_max, p_max=p_max, log_counts=grid)
 
 

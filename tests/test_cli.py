@@ -229,6 +229,15 @@ class TestMc:
             assert message.count("random-classifier") == 1
             assert "random_classifier_probe" not in message
 
+    def test_with_counts_refuses_the_random_classifier_probe(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys, "mc", "--rho", "0.5", "--n", "3", "--alpha", "1,2", "--trials", "4",
+            "--with-counts", "--probe", "random-classifier", "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 1
+        assert json.loads(out)["error"] == "ValidationError"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_margin_mode(self, capsys, tmp_path):
         out = tmp_path / "margin.csv"
         code, _, _ = run(

@@ -1,5 +1,6 @@
 """Tests for disorder sampling and the satisfiability probes."""
 
+import json
 import math
 import re
 from collections import Counter
@@ -26,6 +27,7 @@ from vclab.montecarlo import (
     random_classifier_probe,
     sample_dataset,
     sat_fraction_scan,
+    sat_fraction_scans,
 )
 from vclab.numerics import Rng
 from vclab.recursion import build_count_table, cover_count_exact
@@ -803,6 +805,22 @@ class TestMeanCount:
             ]
             assert mean == np.mean(counts)
 
+    def test_repeated_loads_are_counted_once(self, monkeypatch):
+        # one (mean, stderr) per given load; each distinct load is counted
+        # once per trial, load-major in first-occurrence order
+        loads = []
+        inner = montecarlo.count_admissible_dichotomies
+
+        def recording(dataset, *args, **kwargs):
+            loads.append(dataset.p)
+            return inner(dataset, *args, **kwargs)
+
+        monkeypatch.setattr("vclab.montecarlo.count_admissible_dichotomies", recording)
+        means = estimate_mean_count(PAIRS_HALF, 3, [5, 3, 5, 4, 3], 3, Rng(49))
+        assert loads == [p for p in (5, 3, 4) for _ in range(3)]
+        distinct = estimate_mean_count(PAIRS_HALF, 3, [5, 3, 4], 3, Rng(49))
+        assert means == [distinct[i] for i in (0, 1, 0, 2, 1)]
+
     def test_refuses_bad_loads_before_any_job(self, monkeypatch):
         monkeypatch.setattr("vclab.montecarlo._trial_worker", None)
         for loads in ([], [3, 0], [-1]):
@@ -890,6 +908,22 @@ class TestSatFractionScan:
         fracs = [q.fraction for q in pts]
         assert fracs == sorted(fracs, reverse=True)
         assert fracs[0] == 1.0 and fracs[-1] < 0.5
+
+    @pytest.mark.parametrize("specs, kwargs", [
+        ([StructureSpec.pairs(rho) for rho in (0.2, 0.5, 0.8)], {}),
+        ([StructureSpec.pairs(rho) for rho in (0.2, 0.5, 0.8)], {"probe": "count"}),
+        ([UNSTRUCTURED, UNSTRUCTURED], {"margin": 0.5}),
+    ])
+    def test_scans_match_one_call_per_scan(self, specs, kwargs):
+        rng = Rng(62)
+        grid = [1, 2, 3, 5]
+        scanned = sat_fraction_scans(
+            [(spec, rng.substream(i)) for i, spec in enumerate(specs)], 3, grid, 5, **kwargs
+        )
+        assert scanned == [
+            sat_fraction_scan(spec, 3, grid, 5, rng.substream(i), **kwargs)
+            for i, spec in enumerate(specs)
+        ]
 
     def test_duplicate_and_unsorted_loads(self):
         for kwargs in ({}, {"probe": "count"}):
@@ -992,6 +1026,35 @@ class TestPool:
                 "--trials", "2", "--threads", "2", "--out", str(tmp_path / "count.csv")]
         assert main(argv) == 0
         assert len(pools) == 1
+
+    def test_one_pool_per_phase_diagram(self, pools, tmp_path):
+        argv = ["phase-diagram", "--rho", "0.2,0.5,0.8", "--alpha", "1,2,4", "--trials", "3",
+                "--n-pairs", "6:3", "--threads", "2", "--out", str(tmp_path / "phase")]
+        assert main(argv) == 0
+        assert [pool.max_workers for pool in pools] == [2]
+        pools.clear()
+        assert main([*argv, "--layers", "combinatorial"]) == 0
+        assert pools == []
+
+    def test_worker_error_in_the_first_scan_cancels_the_rest(self, pools, monkeypatch,
+                                                           tmp_path, capsys):
+        # the first trial at rho = 0.2 needs more than 5 solves
+        monkeypatch.setattr("vclab.montecarlo.MAX_SOLVES", 5)
+        rhos = []
+        inner = montecarlo._trial_worker
+
+        def recording(job):
+            rhos.append(job[0].pair_overlap)
+            return inner(job)
+
+        monkeypatch.setattr("vclab.montecarlo._trial_worker", recording)
+        argv = ["phase-diagram", "--rho", "0.2,0.5,0.8", "--layers", "mc", "--mc-n", "10",
+                "--alpha", "1,2.4", "--trials", "2", "--threads", "2",
+                "--out", str(tmp_path / "phase")]
+        assert main(argv) == 3
+        assert json.loads(capsys.readouterr().out)["error"] == "BudgetError"
+        assert rhos == [0.2]
+        assert [pool.shutdowns for pool in pools] == [[True]]
 
     def test_pool_size_clamped_to_jobs(self, pools):
         estimate_mean_count(PAIRS_HALF, 3, [4], 3, Rng(59), threads=64)

@@ -106,6 +106,44 @@ class TestBuildTable:
             assert table.log_count(n, p) == pytest.approx(exact, rel=1e-9)
 
 
+def allocating_table(theta: ThetaCoefficients, n_max: int, p_max: int) -> np.ndarray:
+    """The recursion table as first written, one fresh array per term and
+    step: the oracle of the in-place step of `build_count_table`."""
+    log_theta = [math.log(t) if t > 0 else NEG_INF for t in theta.theta]
+    grid = np.full((n_max + 1, p_max + 1), NEG_INF)
+    grid[1:, 1] = math.log(2.0)
+    col = grid[:, 1].copy()
+    for p in range(1, p_max):
+        nxt = np.full(n_max + 1, NEG_INF)
+        for l in range(theta.k + 1):
+            if log_theta[l] == NEG_INF:
+                continue
+            shifted = np.full(n_max + 1, NEG_INF)
+            shifted[l:] = col[: n_max + 1 - l]
+            nxt = np.logaddexp(nxt, log_theta[l] + shifted)
+        nxt[0] = NEG_INF
+        grid[:, p + 1] = nxt
+        col = nxt
+    return grid
+
+
+class TestInPlaceStep:
+    @pytest.mark.parametrize("n_max, p_max", [(1, 1), (1, 5), (7, 3), (60, 40), (40, 1306)])
+    @pytest.mark.parametrize("rho", [-1.0, -0.5, 0.0, 0.2, 0.5, 0.8, 1.0, None])
+    def test_matches_the_allocating_table_bit_for_bit(self, rho, n_max, p_max):
+        spec = StructureSpec.unstructured() if rho is None else StructureSpec.pairs(rho)
+        theta = theta_coefficients(spec)
+        table = build_count_table(theta, n_max=n_max, p_max=p_max)
+        assert table.log_counts.tobytes() == allocating_table(theta, n_max, p_max).tobytes()
+
+    def test_shifts_past_the_grid_drop_out(self):
+        # row n reads only rows <= n, so a grid lower than k is the top of a taller one
+        theta = ThetaCoefficients(k=4, theta=(0.5, 0.5, 0.5, 0.25, 0.25))
+        low = build_count_table(theta, n_max=2, p_max=6).log_counts
+        tall = build_count_table(theta, n_max=8, p_max=6).log_counts
+        assert low.tobytes() == tall[:3].tobytes()
+
+
 class TestEntropyAccess:
     def test_vc_entropy_boundary(self):
         table = build_count_table(ORTHOGONAL_PAIRS, n_max=5, p_max=5)
