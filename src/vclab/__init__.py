@@ -10,7 +10,6 @@ exhibits beyond the storage capacity.
 from .asymptotics import (
     AsymptoticForm,
     FssResult,
-    ScalingForm,
     TransitionResult,
     annealed_threshold_margin,
     annealed_threshold_pairs,
@@ -89,7 +88,6 @@ __all__ = [
     "PsiVector",
     "Rng",
     "SatProbe",
-    "ScalingForm",
     "StructureSpec",
     "ThetaCoefficients",
     "TransitionResult",

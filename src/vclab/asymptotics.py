@@ -241,33 +241,6 @@ def annealed_threshold_margin(kappa: float) -> TransitionResult:
 
 
 @dataclass(frozen=True)
-class ScalingForm:
-    """Critical rescaling x = alpha_hat * n, log y = beta log n + log C, with
-    the reduced load alpha_hat = (alpha - alpha_star)/alpha_star.
-
-    The horizontal scale n^(1/nu) takes this transition's nu = 1; beta
-    defaults to its critical value 1/2, and beta = 0 turns the vertical
-    rescaling off (control curve).
-    """
-
-    alpha_star: float
-    beta: float = 0.5
-
-    def __post_init__(self):
-        if not self.alpha_star > 0:
-            raise ValidationError("alpha_star must be positive")
-
-    def reduced_load(self, alpha: float) -> float:
-        return (alpha - self.alpha_star) / self.alpha_star
-
-    def x(self, alpha: float, n: int) -> float:
-        return self.reduced_load(alpha) * n
-
-    def log_y(self, log_count: float, n: int) -> float:
-        return self.beta * math.log(n) + log_count
-
-
-@dataclass(frozen=True)
 class FssResult:
     """Rescaled curve points (n, x, log y) and the collapse-quality score."""
 
@@ -278,7 +251,13 @@ class FssResult:
 def fss_rescale(
     curve: list[tuple[int, float, float]], alpha_star: float, beta: float = 0.5
 ) -> FssResult:
-    """Apply the critical rescaling to (n, alpha, log_count) points.
+    """Apply the critical rescaling to (n, alpha, log_count) points:
+    x = alpha_hat * n and log y = beta log n + log C, with the reduced load
+    alpha_hat = (alpha - alpha_star)/alpha_star.
+
+    The horizontal scale n^(1/nu) takes this transition's nu = 1; beta
+    defaults to its critical value 1/2, and beta = 0 turns the vertical
+    rescaling off (control curve).
 
     The collapse score is the mean squared vertical distance between the
     linearly-interpolated rescaled curves of different n, evaluated at each
@@ -287,12 +266,14 @@ def fss_rescale(
     """
     if not curve:
         raise ValidationError("fss_rescale needs at least one curve point")
-    form = ScalingForm(alpha_star=alpha_star, beta=beta)
+    if not alpha_star > 0:
+        raise ValidationError("alpha_star must be positive")
     for _, _, log_count in curve:
         if not math.isfinite(log_count):
             raise ValidationError("fss_rescale requires finite log counts")
     points = tuple(
-        (n, form.x(alpha, n), form.log_y(log_count, n)) for n, alpha, log_count in curve
+        (n, (alpha - alpha_star) / alpha_star * n, beta * math.log(n) + log_count)
+        for n, alpha, log_count in curve
     )
     by_n: dict[int, list[tuple[float, float]]] = {}
     for n, x, y in points:

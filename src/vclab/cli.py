@@ -59,6 +59,7 @@ from .errors import (
     VclabError,
 )
 from .montecarlo import (
+    PROBES,
     crossover_load,
     estimate_mean_count,
     sat_fraction_scan,
@@ -214,7 +215,6 @@ class _Kind:
 _INT = _Kind("INT", partial(_number, int))
 _FLOAT = _Kind("FLOAT", partial(_number, float))
 _TEXT = _Kind("TEXT", partial(_exactly, str))
-_SWITCH = _Kind("SWITCH", partial(_exactly, bool))  # its flag takes no value and sets it true
 _GRID = _Kind("GRID", partial(_numbers, float), _parse_grid, many=True)
 _INTS = _Kind("INTS", partial(_numbers, int), _parse_int_list, many=True)
 _PAIRS = _Kind("PAIRS", _pairs, _parse_pairs, many=True)
@@ -256,7 +256,7 @@ class Option:
 
     def describe(self, default) -> str:
         parts = [self.help, self.allowed]
-        if default not in (None, []) and self.kind is not _SWITCH:
+        if default not in (None, []):
             parts.append(f"default {_show(default)}")
         return "; ".join(part for part in parts if part)
 
@@ -284,7 +284,9 @@ OPTIONS: dict[str, Option] = {
     "rho": Option("--rho", _FLOAT, "overlap of the points of a multiplet"),
     "rho_grid": Option("--rho", _GRID, "pair overlaps, in the syntax of --alpha",
                        _Rule(lambda x: 0 <= x < 1, "inside [0, 1)")),
-    "kappa": Option("--kappa", _FLOAT, "margin"),
+    "kappa": Option("--kappa", _FLOAT, "margin; in mc absolute, of a unit classifier on unit "
+                    "points; in transition in field units, where erfc(kappa) is the large-n "
+                    "chance that a point clears the absolute margin kappa*sqrt(2/n)"),
     "theta0": Option("--theta0", _FLOAT, "recursion coefficient theta0, in place of --rho"),
     "theta1": Option("--theta1", _FLOAT, "recursion coefficient theta1"),
     "alpha_star": Option("--alpha-star", _FLOAT, "critical load; unset: the combinatorial one"),
@@ -300,9 +302,9 @@ OPTIONS: dict[str, Option] = {
     "mc_n": Option("--mc-n", _INT, "dimension of the sampled layer", _at_least(1)),
     "mode": Option("--mode", _TEXT, "pairs at --rho or margins at --kappa",
                    _one_of("pairs", "margin")),
-    "probe": Option("--probe", _TEXT, "SAT decision", _one_of("enumerate", "random-classifier")),
+    "probe": Option("--probe", _TEXT, "SAT decision (count: the exact count, which also decides)",
+                    _one_of(*PROBES)),
     "num_weights": Option("--num-weights", _INT, "random weights per probe", _at_least(1)),
-    "with_counts": Option("--with-counts", _SWITCH, "also count each sampled dataset exactly"),
     "trials": Option("--trials", _INT, "Monte Carlo trials per point", _at_least(1)),
     "window": Option("--window", _FLOAT, "relative half-width of the load window",
                      _Rule(lambda x: 0 < x < 1, "inside (0, 1)")),
@@ -421,6 +423,15 @@ def _gnuplot_count(csv_path: str, n_list: list[int]) -> str:
     return _gnuplot(settings, parts)
 
 
+def _thetas(cfg: dict, needs: str) -> tuple[float, float]:
+    """(theta0, theta1): --theta0, else psi2 of --rho, and --theta1."""
+    if cfg.get("theta0") is not None:
+        return cfg["theta0"], cfg["theta1"]
+    if cfg.get("rho") is not None:
+        return psi2(cfg["rho"]), cfg["theta1"]
+    raise ValidationError(f"{needs} needs --rho or --theta0")
+
+
 def cmd_transition(cfg: dict) -> int:
     method = cfg["method"]
     if method != METHOD_ANNEALED_MARGIN and cfg.get("kappa") is not None:
@@ -433,12 +444,8 @@ def cmd_transition(cfg: dict) -> int:
         if cfg.get("rho") is None:
             raise ValidationError("annealed pair method needs --rho")
         result = annealed_threshold_pairs(cfg["rho"])
-    elif cfg.get("theta0") is not None:
-        result = transition_load(cfg["theta0"], cfg["theta1"])
-    elif cfg.get("rho") is not None:
-        result = transition_load(psi2(cfg["rho"]), 1.0)
     else:
-        raise ValidationError("combinatorial method needs --rho or --theta0")
+        result = transition_load(*_thetas(cfg, "combinatorial method"))
     print(json.dumps(result.to_json(), sort_keys=True))
     return 0
 
@@ -515,20 +522,20 @@ def cmd_mc(cfg: dict) -> int:
     grid = cfg["alpha_grid"]
     seed = cfg["seed"]
     rng = Rng(seed)
+    # each mode reads one knob and refuses the other, from a flag or a config file
     if mode == "pairs":
-        if cfg.get("rho") is None:
-            raise ValidationError("pairs mode needs --rho")
-        spec = StructureSpec.pairs(cfg["rho"])
-        margin = 0.0
-        knob = cfg["rho"]
-    elif cfg.get("kappa") is None:
-        raise ValidationError("margin mode needs --kappa")
+        reads, unread, other = "rho", "kappa", "margin"
     else:
-        spec = StructureSpec.unstructured()
-        margin = cfg["kappa"]
-        knob = margin
-    if cfg["with_counts"] and cfg["probe"] != "enumerate":
-        raise ValidationError(f"--with-counts counts exactly; it cannot take --probe {cfg['probe']}")
+        reads, unread, other = "kappa", "rho", "pairs"
+    if cfg.get(unread) is not None:
+        raise ValidationError(f"--{unread} needs --mode {other}, not {mode}")
+    if cfg.get(reads) is None:
+        raise ValidationError(f"{mode} mode needs --{reads}")
+    knob = cfg[reads]
+    if mode == "pairs":
+        spec, margin = StructureSpec.pairs(knob), 0.0
+    else:
+        spec, margin = StructureSpec.unstructured(), knob
     points = sat_fraction_scan(
         spec,
         n,
@@ -536,7 +543,7 @@ def cmd_mc(cfg: dict) -> int:
         trials,
         rng,
         margin=margin,
-        probe="count" if cfg["with_counts"] else cfg["probe"],
+        probe=cfg["probe"],
         num_weights=cfg["num_weights"],
         threads=cfg["threads"],
     )
@@ -574,13 +581,7 @@ def cmd_mc(cfg: dict) -> int:
 
 
 def cmd_fss(cfg: dict) -> int:
-    if cfg.get("theta0") is not None:
-        theta0 = cfg["theta0"]
-    elif cfg.get("rho") is not None:
-        theta0 = psi2(cfg["rho"])
-    else:
-        raise ValidationError("fss needs --rho or --theta0")
-    theta1 = cfg["theta1"]
+    theta0, theta1 = _thetas(cfg, "fss")
     n_list = cfg["n_list"]
     if cfg.get("alpha_star") is not None:
         alpha_star = cfg["alpha_star"]
@@ -695,7 +696,7 @@ COMMANDS: dict[str, _Command] = {
             "seed": 0, "threads": _ALL_CORES}),
     "mc": _Command(cmd_mc, "SAT-fraction scan over loads", {
         "mode": "pairs", "rho": None, "kappa": None, "n": 3, "alpha_grid": [],
-        "trials": 100, "probe": "enumerate", "num_weights": 10000, "with_counts": False,
+        "trials": 100, "probe": "enumerate", "num_weights": 10000,
         "out": "mc.csv", "seed": 0, "threads": _ALL_CORES}),
     "fss": _Command(cmd_fss, "finite-size-scaling collapse of asymptotic curves", {
         "rho": None, "theta0": None, "theta1": 1.0, "alpha_star": None,
@@ -715,12 +716,9 @@ def build_parser() -> _Parser:
         sub.add_argument("--config", help="JSON config file; flags override its values")
         for key, default in command.options.items():
             opt = command.option(key)
-            if opt.kind is _SWITCH:
-                how = {"action": "store_const", "const": True}
-            else:
-                how = {"type": _flag_type(opt.kind.parse or opt.kind.convert),
-                       "metavar": opt.kind.name}
-            sub.add_argument(opt.flag, dest=key, help=opt.describe(default), **how)
+            sub.add_argument(opt.flag, dest=key, help=opt.describe(default),
+                             type=_flag_type(opt.kind.parse or opt.kind.convert),
+                             metavar=opt.kind.name)
     return parser
 
 

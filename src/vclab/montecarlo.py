@@ -95,6 +95,7 @@ CELLS_PER_SOLVE = 150
 
 _ENUMERATE = "enumerate"  # trial probe tag: the exact SAT decision
 _COUNT = "count"  # trial probe tag: full exact count instead of a SAT decision
+PROBES = (_ENUMERATE, _COUNT, METHOD_RANDOM)  # the probes of a SAT-fraction scan
 _PAIR_ROWS = 512  # most points whose pairs `_pair_conflicts` tabulates
 _WEIGHT_BATCH = 16384  # random directions drawn at once by `random_classifier_probe`
 
@@ -353,6 +354,8 @@ def random_classifier_probe(
     """
     if num_weights < 1:
         raise ValidationError("num_weights must be >= 1")
+    if margin < 0:
+        raise ValidationError("margin must be >= 0")
     gen = rng.generator() if isinstance(rng, Rng) else rng
     flat = dataset.flat
     p, k = dataset.p, dataset.spec.k
@@ -478,8 +481,10 @@ def sat_fraction_scans(
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    if probe not in (_ENUMERATE, _COUNT, METHOD_RANDOM):
+    if probe not in PROBES:
         raise ValidationError(f"unknown probe {probe!r}")
+    if margin < 0:
+        raise ValidationError("margin must be >= 0")
     if not alpha_grid:
         raise ValidationError("alpha grid must be nonempty")
     for alpha in alpha_grid:

@@ -1,6 +1,6 @@
 """Exact linear-separability decisions and hard-margin values.
 
-Two complementary exact engines:
+Two exact tools, used by `vclab.montecarlo`:
 
 * `max_margin` solves the homogeneous hard-margin problem
   max_{|w|=1} min_i sigma_i (w . xi_i) through its dual: the optimum equals
@@ -9,7 +9,9 @@ Two complementary exact engines:
   value certifies strict separability (the optimal w is the normalized
   hull point); when the origin lies in the hull the problem value is <= 0
   and 0.0 is returned (strictness is decided by the tolerance TAU, so the
-  exact nonpositive depth is never needed).
+  exact nonpositive depth is never needed).  The extension engine, which
+  makes every SAT/UNSAT decision, calls its warm-startable core
+  `min_norm_corral` once per labeling it cannot certify for free.
 
 * `sign_pattern_blocks` enumerates every sign vector realizable by some
   direction w, i.e. the cells of the central hyperplane arrangement whose
@@ -17,10 +19,11 @@ Two complementary exact engines:
   rank-r arrangement is pointed, hence adjacent to an edge spanned by some
   r-1 of the normals; perturbing along each edge direction reaches all
   2^(r-1) cells around it, so scanning the (r-1)-subsets reaches every
-  cell.  Cost grows like m^(r-1) 2^r, which is what makes exact SAT/UNSAT
-  decisions possible far beyond any 2^p label enumeration when r <= 3.
+  cell.  Cost grows like m^(r-1) 2^r.  It only counts, at margin 0, after
+  the extension engine runs past the scan's price in solves
+  (`cell_scan_cost`); `max_margin` verifies its degenerate-edge candidates.
 
-Both engines are cross-validated against each other in the test suite.
+The test suite checks each against the other.
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from vclab.asymptotics import (
     AsymptoticForm,
-    ScalingForm,
     annealed_threshold_margin,
     annealed_threshold_pairs,
     asymptotic_log_count,
@@ -209,8 +208,13 @@ class TestAnnealedMargin:
 
 class TestScaling:
     def test_reduced_load_zero_at_star(self):
-        form = ScalingForm(alpha_star=4.0)
-        assert form.x(4.0, 50) == 0.0
+        (_, x, _), = fss_rescale([(50, 4.0, -1.0)], alpha_star=4.0).points
+        assert x == 0.0
+
+    @pytest.mark.parametrize("alpha_star", [0.0, -1.0, math.nan])
+    def test_rejects_nonpositive_alpha_star(self, alpha_star):
+        with pytest.raises(ValidationError, match="alpha_star must be positive"):
+            fss_rescale([(50, 4.0, -1.0)], alpha_star=alpha_star)
 
     def test_power_law_at_critical_load(self):
         star = transition_load(0.5, 1.0).alpha_star

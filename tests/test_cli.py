@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from vclab import __version__, montecarlo
+from vclab import Rng, StructureSpec, __version__, montecarlo, psi2, sat_fraction_scan
 from vclab.cli import COMMANDS, OPTIONS, main
 
 
@@ -63,9 +63,23 @@ class TestTransition:
     @pytest.mark.parametrize("command", ["transition", "fss"])
     def test_zero_theta1_is_domain_error(self, capsys, tmp_path, command):
         extra = ["--out", str(tmp_path / "x.csv")] if command == "fss" else []
-        code, out, _ = run(capsys, command, "--theta0", "0.5", "--theta1", "0", *extra)
-        assert code == 1
-        assert json.loads(out)["error"] == "DomainError"
+        for theta0 in (["--theta0", "0.5"], ["--rho", "0.5"]):
+            code, out, _ = run(capsys, command, *theta0, "--theta1", "0", *extra)
+            assert code == 1
+            assert json.loads(out)["error"] == "DomainError"
+
+    @pytest.mark.parametrize("command", ["transition", "fss"])
+    def test_rho_means_theta0_psi2_rho(self, capsys, tmp_path, command):
+        # one (theta0, theta1) rule: --theta1 counts beside --rho as beside --theta0
+        extra = ["--out", str(tmp_path / "x.csv")] if command == "fss" else []
+        code, by_rho, _ = run(capsys, command, "--rho", "0.5", "--theta1", "0.5", *extra)
+        assert code == 0
+        theta0 = repr(psi2(0.5))
+        code, by_theta, _ = run(capsys, command, "--theta0", theta0, "--theta1", "0.5", *extra)
+        assert code == 0
+        assert by_rho == by_theta
+        code, plain, _ = run(capsys, command, "--rho", "0.5", *extra)
+        assert json.loads(plain)["alpha_star"] > json.loads(by_rho)["alpha_star"]
 
 
 class TestCount:
@@ -230,12 +244,53 @@ class TestMc:
             assert "random_classifier_probe" not in message
 
     def test_with_counts_refuses_the_random_classifier_probe(self, capsys, tmp_path):
+        # --with-counts is gone, with or without a probe: --probe count counts
+        out = tmp_path / "x.csv"
+        args = ["mc", "--rho", "0.5", "--n", "3", "--alpha", "1,2", "--trials", "4",
+                "--threads", "1", "--out", str(out)]
+        code, stdout, _ = run(capsys, *args, "--with-counts", "--probe", "random-classifier")
+        assert code == 1
+        assert "unrecognized arguments: --with-counts" in json.loads(stdout)["message"]
+        assert not out.exists()
+        assert run(capsys, *args, "--probe", "count")[0] == 0
+        assert '"probe": "count"' in out.read_text()
+        points = sat_fraction_scan(StructureSpec.pairs(0.5), 3, [1, 2], 4, Rng(0), probe="count")
+        rows = [row.split(",") for row in data_lines(out)[1:]]
+        assert [(row[6], row[8], row[9]) for row in rows] == [
+            ("%.17g" % q.fraction, "%.17g" % q.mean_count, "%.17g" % q.count_stderr)
+            for q in points
+        ]
+
+    def test_negative_margin_is_validation_error(self, capsys, tmp_path):
         code, out, _ = run(
-            capsys, "mc", "--rho", "0.5", "--n", "3", "--alpha", "1,2", "--trials", "4",
-            "--with-counts", "--probe", "random-classifier", "--out", str(tmp_path / "x.csv"),
+            capsys, "mc", "--mode", "margin", "--kappa", "-1", "--n", "3", "--alpha", "1,2,4",
+            "--trials", "2", "--threads", "1", "--out", str(tmp_path / "x.csv"),
         )
         assert code == 1
-        assert json.loads(out)["error"] == "ValidationError"
+        payload = json.loads(out)
+        assert payload["error"] == "ValidationError"
+        assert payload["message"] == "margin must be >= 0"
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "mode, unread",
+        [(["--mode", "pairs", "--rho", "0.5"], "kappa"),
+         (["--mode", "margin", "--kappa", "0.5"], "rho")],
+        ids=["pairs", "margin"],
+    )
+    def test_mode_refuses_the_knob_it_does_not_read(self, capsys, tmp_path, mode, unread, where):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({unread: 0.3}))
+        extra = [f"--{unread}", "0.3"] if where == "flag" else ["--config", str(cfg)]
+        code, out, _ = run(
+            capsys, "mc", *mode, *extra, "--n", "3", "--alpha", "1", "--trials", "2",
+            "--threads", "1", "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["error"] == "ValidationError"
+        assert payload["message"].startswith(f"--{unread} needs --mode ")
         assert not (tmp_path / "x.csv").exists()
 
     def test_margin_mode(self, capsys, tmp_path):
@@ -494,6 +549,8 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("value", ["false", "true", 0, 1])
     def test_with_counts_must_be_boolean(self, capsys, tmp_path, value):
+        # the boolean key is gone: `probe: "count"` asks for exact counts,
+        # so any with_counts value is refused as an unknown key
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"with_counts": value}))
         code, out, _ = run(
@@ -503,7 +560,8 @@ class TestConfigFile:
         assert code == 1
         payload = json.loads(out)
         assert payload["error"] == "ValidationError"
-        assert "with_counts" in payload["message"]
+        assert payload["message"] == f"config file {cfg}: unknown key 'with_counts'"
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("key", ["trails", "num-wieghts"])
     @pytest.mark.parametrize(
@@ -542,7 +600,7 @@ SEEDED = {
 }
 TABLE = [(name, key) for name in sorted(COMMANDS) for key in COMMANDS[name].options]
 # A config value of the wrong type for each kind of option.
-WRONG = {"TEXT": 5, "SWITCH": "false"}
+WRONG = {"TEXT": 5}
 
 
 class TestOptionTable:

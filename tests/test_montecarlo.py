@@ -730,6 +730,11 @@ class TestRandomClassifierProbe:
         tight = random_classifier_probe(ds, 4000, Rng(36), margin=0.5)
         assert tight.count <= loose.count
 
+    def test_negative_margin_is_refused(self):
+        ds = sample_dataset(UNSTRUCTURED, 3, 3, Rng(35))
+        with pytest.raises(ValidationError, match="margin must be >= 0"):
+            random_classifier_probe(ds, 10, Rng(36), margin=-1.0)
+
 
 class TestMeanCount:
     def test_unstructured_deterministic(self):
@@ -966,6 +971,10 @@ class TestSatFractionScan:
         for alpha in (math.nan, math.inf):
             with pytest.raises(ValidationError):
                 sat_fraction_scan(PAIRS_HALF, 3, [1.0, alpha], 10, Rng(0))
+        # a negative margin is refused before any job, for every probe
+        for probe in montecarlo.PROBES:
+            with pytest.raises(ValidationError, match="margin must be >= 0"):
+                sat_fraction_scan(UNSTRUCTURED, 3, [1.0], 10, Rng(0), margin=-1.0, probe=probe)
 
     def test_threads_match_serial(self):
         a = sat_fraction_scan(PAIRS_HALF, 3, [2, 4], 16, Rng(55), threads=1)
