@@ -60,10 +60,11 @@ from .errors import (
 )
 from .montecarlo import (
     PROBES,
+    _map_ordered,
     crossover_load,
     estimate_mean_count,
     sat_fraction_scan,
-    sat_fraction_scans,
+    scan_jobs,
 )
 from .numerics import NEG_INF, Rng
 from .recursion import build_count_table, crossing_load
@@ -298,7 +299,8 @@ OPTIONS: dict[str, Option] = {
     "layers": Option("--layers", _TEXT, "layers to compute", _Rule(
         lambda x: bool(_layer_names(x)) and set(_layer_names(x)) <= set(_LAYERS),
         "a comma list of " + ", ".join(_LAYERS))),
-    "n_pairs": Option("--n-pairs", _PAIRS, "crossing dimension pairs n1:n2"),
+    "n_pairs": Option("--n-pairs", _PAIRS, "crossing dimension pairs n1:n2", _Rule(
+        lambda x: min(x) >= 1 and x[0] != x[1], "two distinct dimensions >= 1")),
     "mc_n": Option("--mc-n", _INT, "dimension of the sampled layer", _at_least(1)),
     "mode": Option("--mode", _TEXT, "pairs at --rho or margins at --kappa",
                    _one_of("pairs", "margin")),
@@ -348,6 +350,14 @@ def _merge_config(args: argparse.Namespace, command: "_Command") -> dict:
     for key in options:
         if key in cfg:
             command.option(key).check(key, cfg[key])
+    for key in ("out", "plot_script"):
+        if key in options and cfg.get(key) is not None:
+            # before any work: a file that cannot be written would end the
+            # command after all of it (phase-diagram's --out is a file stem)
+            folder = os.path.dirname(cfg[key]) or "."
+            if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+                raise ValidationError(f"{key} ({OPTIONS[key].flag}): {folder!r} is not a "
+                                      f"writable directory, got {cfg[key]!r}")
     return cfg
 
 
@@ -424,18 +434,29 @@ def _gnuplot_count(csv_path: str, n_list: list[int]) -> str:
 
 
 def _thetas(cfg: dict, needs: str) -> tuple[float, float]:
-    """(theta0, theta1): --theta0, else psi2 of --rho, and --theta1."""
-    if cfg.get("theta0") is not None:
-        return cfg["theta0"], cfg["theta1"]
-    if cfg.get("rho") is not None:
-        return psi2(cfg["rho"]), cfg["theta1"]
+    """(theta0, theta1): --theta0 or psi2 of --rho, never both, and --theta1."""
+    theta0, rho = cfg.get("theta0"), cfg.get("rho")
+    if theta0 is not None and rho is not None:
+        raise ValidationError("--theta0 stands in for --rho: give one of them, not both")
+    if theta0 is not None:
+        return theta0, cfg["theta1"]
+    if rho is not None:
+        return psi2(rho), cfg["theta1"]
     raise ValidationError(f"{needs} needs --rho or --theta0")
 
 
 def cmd_transition(cfg: dict) -> int:
     method = cfg["method"]
-    if method != METHOD_ANNEALED_MARGIN and cfg.get("kappa") is not None:
-        raise ValidationError(f"--kappa needs --method {METHOD_ANNEALED_MARGIN}, not {method}")
+    # each route refuses a knob it does not read, from a flag or a config file
+    reads = {
+        METHOD_COMBINATORIAL: ("rho", "theta0"),
+        METHOD_ANNEALED_PAIRS: ("rho",),
+        METHOD_ANNEALED_MARGIN: ("kappa",),
+    }
+    for knob in ("rho", "theta0", "kappa"):
+        if cfg.get(knob) is not None and knob not in reads[method]:
+            routes = " or ".join(route for route, knobs in reads.items() if knob in knobs)
+            raise ValidationError(f"--{knob} needs --method {routes}, not {method}")
     if method == METHOD_ANNEALED_MARGIN:
         if cfg.get("kappa") is None:
             raise ValidationError("margin method needs --kappa")
@@ -455,6 +476,21 @@ def cmd_phase_diagram(cfg: dict) -> int:
     layers = _layer_names(cfg["layers"])
     stem = cfg["out"]
     rng = Rng(cfg["seed"])
+    # the crossing tables, one per (rho, pair), run ahead of the mc trials as
+    # jobs of one pool, so they overlap the trials
+    crossings, jobs = [], []
+    if "crossing" in layers:
+        for rho in rho_grid:
+            star = transition_load(psi2(rho), 1.0).alpha_star
+            window = (max(0.5, 0.4 * star), 1.8 * star)
+            theta = theta_coefficients(StructureSpec.pairs(rho))
+            for n1, n2 in cfg["n_pairs"]:
+                crossings.append((_f(rho), str(n1), str(n2)))
+                jobs.append((crossing_load, theta, n1, n2, window))
+    if "mc" in layers:
+        scans = [(StructureSpec.pairs(rho), rng.substream(i)) for i, rho in enumerate(rho_grid)]
+        trial_jobs, reduce = scan_jobs(scans, cfg["mc_n"], cfg["alpha_grid"], cfg["trials"])
+        jobs += trial_jobs
     thresholds = {
         "combinatorial": lambda rho: transition_load(psi2(rho), 1.0),
         "annealed": annealed_threshold_pairs,
@@ -467,27 +503,14 @@ def cmd_phase_diagram(cfg: dict) -> int:
                 rows.append((_f(rho), _f(res.alpha_star), res.method, _f(res.residual)))
             columns = ["rho", "alpha_star", "method", "residual"]
             _write_csv(f"{stem}.{layer}.csv", cfg, columns, rows)
+    results = _map_ordered(jobs, cfg["threads"])
     if "crossing" in layers:
-        rows = []
-        pairs = cfg["n_pairs"]
-        for rho in rho_grid:
-            star = transition_load(psi2(rho), 1.0).alpha_star
-            window = (max(0.5, 0.4 * star), 1.8 * star)
-            theta = theta_coefficients(StructureSpec.pairs(rho))
-            for n1, n2 in pairs:
-                alpha = crossing_load(theta, n1, n2, window)
-                rows.append(
-                    (_f(rho), str(n1), str(n2), _f(alpha), METHOD_CROSSING)
-                )
+        rows = [(*key, _f(next(results)), METHOD_CROSSING) for key in crossings]
         _write_csv(f"{stem}.crossing.csv", cfg, ["rho", "n1", "n2", "alpha_cross", "method"], rows)
     if "mc" in layers:
-        scans = [(StructureSpec.pairs(rho), rng.substream(i)) for i, rho in enumerate(rho_grid)]
-        scanned = sat_fraction_scans(
-            scans, cfg["mc_n"], cfg["alpha_grid"], cfg["trials"], threads=cfg["threads"]
-        )
         rows = [
             (_f(rho), _f(q.alpha), str(q.p), str(q.trials), _f(q.fraction), _f(q.stderr))
-            for rho, points in zip(rho_grid, scanned)
+            for rho, points in zip(rho_grid, reduce(results))
             for q in points
         ]
         _write_csv(

@@ -47,8 +47,10 @@ UNSAT one.  A counting probe also decides SAT, so mean counts and SAT
 fractions describe the same disorder.  A library call runs its jobs
 through one process pool and reduces them in job order, so results are
 bit-reproducible for any worker count; `sat_fraction_scans` runs the
-trials of several scans (every pair overlap of a phase diagram) as the
-jobs of one call.
+trials of several scans as the jobs of one call, and `scan_jobs` hands
+those jobs to a caller that runs other jobs ahead of them in the same
+pool (a phase diagram's crossing tables, ahead of every pair overlap's
+trials).
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import islice
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -177,14 +180,18 @@ def _cells_labelings(dataset: Dataset, directions: tuple) -> Iterator[np.ndarray
         consistent = np.all(grouped == grouped[:, :, :1], axis=(1, 2))
         if not consistent.any():
             continue
-        for row, flagged in zip(grouped[consistent, :, 0], verify[consistent]):
-            key = row.tobytes()
+        rows = np.ascontiguousarray(grouped[consistent, :, 0])
+        flags = verify[consistent]
+        # one bytes key per row, from one call; the first occurrence of a
+        # row in scan order decides, with its verify flag
+        keys = rows.view(np.dtype((np.void, rows.itemsize * p))).ravel().tolist()
+        for i, key in enumerate(keys):
             if key in seen:
                 continue
             seen.add(key)
-            if flagged and max_margin(flat, np.repeat(row, k)) <= TAU:
+            if flags[i] and max_margin(flat, np.repeat(rows[i], k)) <= TAU:
                 continue
-            yield row
+            yield rows[i]
 
 
 def _pair_conflicts(points: np.ndarray, bar: float) -> tuple[np.ndarray, np.ndarray]:
@@ -378,12 +385,11 @@ def random_classifier_probe(
     return SatProbe(count=len(seen), sat=len(seen) > 0, enumerated=False, method=METHOD_RANDOM)
 
 
-def _trial_worker(job) -> list[int]:
+def _trial_worker(spec, n, loads, margin, probe, num_weights, stream) -> list[int]:
     """One trial: draw the largest load's multiplets once from the trial's
     stream; one count per load, ascending, SAT iff positive (1 for an exact
     decision, all read off one `_threshold` walk).  Other probes stop at the
     first UNSAT load, as every larger load is UNSAT too."""
-    spec, n, loads, margin, probe, num_weights, stream = job
     ds = sample_dataset(spec, n, loads[-1], stream)
     if probe == _ENUMERATE:
         threshold = _threshold(ds, margin)
@@ -402,20 +408,37 @@ def _trial_worker(job) -> list[int]:
     return counts
 
 
-def _map_ordered(worker, jobs, threads: int) -> list:
-    """``worker(job)`` for every job, in job order, from one process pool of
-    at most ``threads`` workers (none for one worker or one job)."""
+def _apply(job):
+    """Run one job of `_map_ordered`: ``(function, *args)``."""
+    fn, *args = job
+    return fn(*args)
+
+
+def _map_ordered(jobs: list, threads: int) -> Iterator:
+    """``fn(*args)`` for every ``(fn, *args)`` job, read lazily in job order.
+
+    The jobs run in one process pool of at most ``threads`` workers, opened
+    at the first read; with one worker or one job, each runs in this
+    process when it is read.  A caller may so use the first results before
+    a later job fails."""
     if threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
     workers = min(threads, len(jobs))
     if workers <= 1:
-        return list(map(worker, jobs))
+        return map(_apply, jobs)
+    return _pooled(jobs, workers)
+
+
+def _pooled(jobs: list, workers: int) -> Iterator:
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        return list(pool.map(worker, jobs))
+        results = pool.map(_apply, jobs)
+        yield from islice(results, len(jobs) - 1)
+        last = next(results)
     finally:
-        # on a worker error, drop the queued trials instead of running them
+        # on a worker error, drop the queued jobs instead of running them
         pool.shutdown(cancel_futures=True)
+    yield last  # the pool is shut down once every result is in
 
 
 def _mean_stderr(counts: list[int]) -> tuple[float, float]:
@@ -447,12 +470,66 @@ def estimate_mean_count(
     if not loads or min(loads) < 1:
         raise ValidationError(f"need a non-empty list of loads p >= 1, got {loads}")
     distinct = list(dict.fromkeys(loads))
-    jobs = [(spec, n, [p], 0.0, _COUNT, 0, rng.substream(t))
+    jobs = [(_trial_worker, spec, n, [p], 0.0, _COUNT, 0, rng.substream(t))
             for p in distinct for t in range(trials)]
-    counts = [c for c, in _map_ordered(_trial_worker, jobs, threads)]
+    counts = [c for c, in _map_ordered(jobs, threads)]
     means = {p: _mean_stderr(counts[i * trials : (i + 1) * trials])
              for i, p in enumerate(distinct)}
     return [means[p] for p in loads]
+
+
+def scan_jobs(
+    scans: list[tuple[StructureSpec, Rng]],
+    n: int,
+    alpha_grid: list[float],
+    trials: int,
+    margin: float = 0.0,
+    probe: str = _ENUMERATE,
+    num_weights: int = 10000,
+) -> tuple[list, Callable[[Iterator], list[list[PhasePoint]]]]:
+    """The trial jobs of `sat_fraction_scans`, scan-major, for `_map_ordered`,
+    and the function that reduces their results, read in job order, to one
+    list of points per scan.  Every argument is checked here, before any
+    job runs."""
+    if trials < 1:
+        raise ValidationError("trials must be >= 1")
+    if probe not in PROBES:
+        raise ValidationError(f"unknown probe {probe!r}")
+    if margin < 0:
+        raise ValidationError("margin must be >= 0")
+    if not alpha_grid:
+        raise ValidationError("alpha grid must be nonempty")
+    for alpha in alpha_grid:
+        if not math.isfinite(alpha):
+            raise ValidationError(f"alpha={alpha} is not finite")
+    loads = [int(round(alpha * n)) for alpha in alpha_grid]
+    for alpha, p in zip(alpha_grid, loads):
+        if p < 1:
+            raise ValidationError(f"alpha={alpha} gives p={p} < 1 at n={n}")
+    distinct = sorted(set(loads))
+    jobs = [(_trial_worker, spec, n, distinct, margin, probe, num_weights, rng.substream(t))
+            for spec, rng in scans for t in range(trials)]
+
+    def reduce(results: Iterator) -> list[list[PhasePoint]]:
+        results = list(results)
+        scanned = []
+        for i in range(len(scans)):
+            # per load, the counts of every trial of this scan in trial order
+            counts = dict(zip(distinct, zip(*results[i * trials : (i + 1) * trials])))
+            points = []
+            for alpha, p in zip(alpha_grid, loads):
+                frac = float(np.mean([c > 0 for c in counts[p]]))
+                stderr = math.sqrt(frac * (1.0 - frac) / trials)
+                mean_count = count_stderr = None
+                if probe == _COUNT:
+                    mean_count, count_stderr = _mean_stderr(counts[p])
+                points.append(PhasePoint(alpha=alpha, p=p, trials=trials, fraction=frac,
+                                         stderr=stderr, mean_count=mean_count,
+                                         count_stderr=count_stderr))
+            scanned.append(points)
+        return scanned
+
+    return jobs, reduce
 
 
 def sat_fraction_scans(
@@ -477,43 +554,11 @@ def sat_fraction_scans(
     ``rng.substream(t)`` (a random-classifier probe takes its directions
     from ``rng.substream(t, 1)``), and load p reads its first p, so every
     point of a scan sees the same disorder.  The trials of every scan,
-    scan-major, share one process pool.
+    scan-major, share one process pool (`scan_jobs` lets a caller put
+    other jobs ahead of them in that pool).
     """
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
-    if probe not in PROBES:
-        raise ValidationError(f"unknown probe {probe!r}")
-    if margin < 0:
-        raise ValidationError("margin must be >= 0")
-    if not alpha_grid:
-        raise ValidationError("alpha grid must be nonempty")
-    for alpha in alpha_grid:
-        if not math.isfinite(alpha):
-            raise ValidationError(f"alpha={alpha} is not finite")
-    loads = [int(round(alpha * n)) for alpha in alpha_grid]
-    for alpha, p in zip(alpha_grid, loads):
-        if p < 1:
-            raise ValidationError(f"alpha={alpha} gives p={p} < 1 at n={n}")
-    distinct = sorted(set(loads))
-    jobs = [(spec, n, distinct, margin, probe, num_weights, rng.substream(t))
-            for spec, rng in scans for t in range(trials)]
-    results = _map_ordered(_trial_worker, jobs, threads)
-    scanned = []
-    for i in range(len(scans)):
-        # per load, the counts of every trial of this scan in trial order
-        counts = dict(zip(distinct, zip(*results[i * trials : (i + 1) * trials])))
-        points = []
-        for alpha, p in zip(alpha_grid, loads):
-            frac = float(np.mean([c > 0 for c in counts[p]]))
-            stderr = math.sqrt(frac * (1.0 - frac) / trials)
-            mean_count = count_stderr = None
-            if probe == _COUNT:
-                mean_count, count_stderr = _mean_stderr(counts[p])
-            points.append(PhasePoint(alpha=alpha, p=p, trials=trials, fraction=frac,
-                                     stderr=stderr, mean_count=mean_count,
-                                     count_stderr=count_stderr))
-        scanned.append(points)
-    return scanned
+    jobs, reduce = scan_jobs(scans, n, alpha_grid, trials, margin, probe, num_weights)
+    return reduce(_map_ordered(jobs, threads))
 
 
 def sat_fraction_scan(

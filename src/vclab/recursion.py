@@ -93,21 +93,28 @@ class CountTable:
 def build_count_table(theta: ThetaCoefficients, n_max: int, p_max: int) -> CountTable:
     """Fill the (n, p) grid by iterating the recursion in log domain.
 
-    Each p-step is a weighted log-sum-exp over the k+1 shifted n-rows,
-    accumulated in place into the grid's next column; zero coefficients
-    drop out, and so do rows n-l <= 0, since logaddexp(x, -inf) == x.
+    Each p-step is one gather and one reduce.  The gather reads the
+    column's rows n-l, plus log theta_l, into one buffer row per nonzero
+    theta_l (shifts past the grid drop out); `np.logaddexp.reduce` over the
+    buffer writes the grid's next column in place, adding the terms in
+    l-order as a loop of pairwise steps would, so the table is the same to
+    the bit.  Row 0 of every column is -inf: it pads the rows n-l < 0, and
+    it stays -inf.
     """
     if n_max < 1 or p_max < 1:
         raise ValidationError("grid bounds must be >= 1")
     # (l, log theta_l) for the nonzero coefficients whose shift stays on the grid
     terms = [(l, math.log(t)) for l, t in enumerate(theta.theta[: n_max + 1]) if t > 0]
+    shifts = np.array([l for l, _ in terms], dtype=int)[:, None]
+    log_theta = np.array([t for _, t in terms])[:, None]
+    # C[n, p+1] reads C[n-l, p]; the -inf row 0 stands in for n-l < 0
+    rows = np.maximum(np.arange(n_max + 1) - shifts, 0)
     grid = np.full((n_max + 1, p_max + 1), NEG_INF)
     grid[1:, 1] = LOG2
-    for p in range(1, p_max):
-        col, nxt = grid[:, p], grid[:, p + 1]
-        for l, t in terms:
-            # C[n, p+1] += theta_l C[n-l, p]; row 0 of col is -inf, so nxt[0] stays -inf
-            np.logaddexp(nxt[l:], t + col[: n_max + 1 - l], out=nxt[l:])
+    buf = np.empty(rows.shape)
+    for col, nxt in zip(grid.T[1:p_max], grid.T[2:]):
+        np.add(col[rows], log_theta, out=buf)
+        np.logaddexp.reduce(buf, axis=0, out=nxt)
     return CountTable(theta=theta, n_max=n_max, p_max=p_max, log_counts=grid)
 
 

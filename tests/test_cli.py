@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import dataclasses
 import json
 import math
 import re
@@ -59,6 +60,40 @@ class TestTransition:
     def test_missing_input_is_validation_error(self, capsys):
         code, out, _ = run(capsys, "transition", "--method", "combinatorial")
         assert code == 1
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "method, knob",
+        [("annealed-pairs", "theta0"), ("annealed-margin", "rho"), ("annealed-margin", "theta0")],
+    )
+    def test_route_refuses_the_knob_it_does_not_read(self, capsys, tmp_path, method, knob, where):
+        # each knob alone, from a flag or a config file, where the route reads another
+        reads = ["--kappa", "0.5"] if method == "annealed-margin" else ["--rho", "0.5"]
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({knob: 0.3}))
+        extra = [f"--{knob}", "0.3"] if where == "flag" else ["--config", str(cfg)]
+        code, out, _ = run(capsys, "transition", "--method", method, *reads, *extra)
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["error"] == "ValidationError"
+        assert payload["message"].startswith(f"--{knob} needs --method combinatorial")
+        assert payload["message"].endswith(f"not {method}")
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["transition", "fss"])
+    def test_theta0_and_rho_together_are_refused(self, capsys, tmp_path, command, where):
+        # --theta0 stands in for psi2(--rho); given both, neither may win unseen
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"theta0": 0.5}))
+        extra = ["--theta0", "0.5"] if where == "flag" else ["--config", str(cfg)]
+        out_file = tmp_path / "x.csv"
+        tail = ["--out", str(out_file)] if command == "fss" else []
+        code, out, _ = run(capsys, command, "--rho", "0.5", *extra, *tail)
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["error"] == "ValidationError"
+        assert "--theta0" in payload["message"] and "--rho" in payload["message"]
+        assert not out_file.exists()
 
     @pytest.mark.parametrize("command", ["transition", "fss"])
     def test_zero_theta1_is_domain_error(self, capsys, tmp_path, command):
@@ -342,6 +377,21 @@ class TestPhaseDiagram:
         )
         assert code == 1
 
+    def test_real_pool_writes_the_serial_bytes(self, capsys, tmp_path):
+        # every layer with the default n-pairs: the crossing tables and the
+        # trials share one real pool at threads 2
+        files = {}
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            out.mkdir()
+            code, _, _ = run(capsys, "phase-diagram", "--rho", "0,0.2,0.5,0.8",
+                             "--alpha", "1,2,4,8", "--trials", "4", "--seed", "3",
+                             "--threads", threads, "--out", str(out / "phase"))
+            assert code == 0
+            files[threads] = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert len(files["1"]) == 4
+        assert files["1"] == files["2"]
+
     def test_zero_crossing_dimension_is_validation_error(self, capsys, tmp_path):
         code, out, _ = run(
             capsys, "phase-diagram", "--rho", "0", "--layers", "crossing",
@@ -360,6 +410,41 @@ class TestPhaseDiagram:
         assert payload["error"] == "ValidationError"
         assert "layers" in payload["message"]
         assert not list(tmp_path.iterdir())
+
+
+# Each command that writes files, the option that names one, and a short run.
+OUTPUTS = [
+    ("count", "out", ["--k", "1", "--n", "3", "--alpha", "1"]),
+    ("count", "plot_script", ["--k", "1", "--n", "3", "--alpha", "1"]),
+    ("phase-diagram", "out", ["--rho", "0", "--alpha", "1", "--trials", "2", "--threads", "1"]),
+    ("phase-diagram", "plot_script", ["--rho", "0", "--layers", "annealed"]),
+    ("mc", "out", ["--rho", "0.5", "--n", "3", "--alpha", "1,2", "--trials", "2",
+                   "--threads", "1"]),
+    ("fss", "out", ["--rho", "0"]),
+    ("fss", "plot_script", ["--rho", "0"]),
+]
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("command, key, argv", OUTPUTS,
+                             ids=[f"{c}-{k}" for c, k, _ in OUTPUTS])
+    def test_missing_directory_is_refused_before_the_command_runs(
+            self, capsys, tmp_path, monkeypatch, command, key, argv):
+        def ran(cfg):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setitem(COMMANDS, command, dataclasses.replace(COMMANDS[command], run=ran))
+        missing = tmp_path / "no" / "such"
+        paths = {"out": str(tmp_path / "x"), key: str(missing / "x")}
+        flags = [arg for k, path in paths.items() for arg in (OPTIONS[k].flag, path)]
+        code, out, err = run(capsys, command, *argv, *flags)
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["error"] == "ValidationError"
+        assert payload["message"].startswith(f"{key} ({OPTIONS[key].flag}): ")
+        assert str(missing) in payload["message"]
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFss:

@@ -9,7 +9,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from vclab import montecarlo
+from vclab import montecarlo, recursion
 from vclab.cli import main
 from vclab.errors import BudgetError, DimensionError, ValidationError
 from vclab.montecarlo import (
@@ -1000,7 +1000,8 @@ def pools(monkeypatch):
             made.append(self)
 
         def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
+            self.jobs = list(iterable)
+            return map(fn, self.jobs)
 
         def shutdown(self, wait=True, cancel_futures=False):
             self.shutdowns.append(cancel_futures)
@@ -1037,12 +1038,43 @@ class TestPool:
         assert len(pools) == 1
 
     def test_one_pool_per_phase_diagram(self, pools, tmp_path):
+        # the crossing tables and the trials are the jobs of one pool, the
+        # crossing calls first, in (rho, pair) order
+        tables = [(theta_coefficients(StructureSpec.pairs(rho)), pair)
+                  for rho in (0.2, 0.5, 0.8) for pair in ((40, 20), (6, 3))]
         argv = ["phase-diagram", "--rho", "0.2,0.5,0.8", "--alpha", "1,2,4", "--trials", "3",
-                "--n-pairs", "6:3", "--threads", "2", "--out", str(tmp_path / "phase")]
-        assert main(argv) == 0
-        assert [pool.max_workers for pool in pools] == [2]
-        pools.clear()
-        assert main([*argv, "--layers", "combinatorial"]) == 0
+                "--n-pairs", "40:20,6:3", "--threads", "2", "--out", str(tmp_path / "phase")]
+        for layers, crossings, trials in (("crossing", 6, 0), ("mc", 0, 9),
+                                          ("combinatorial,annealed,crossing,mc", 6, 9),
+                                          ("combinatorial,annealed", 0, 0)):
+            pools.clear()
+            assert main([*argv, "--layers", layers]) == 0
+            if not crossings + trials:
+                assert pools == []
+                continue
+            assert [(pool.max_workers, pool.shutdowns) for pool in pools] == [(2, [True])]
+            jobs = pools[0].jobs
+            assert len(jobs) == crossings + trials
+            assert [job[0] for job in jobs] == (
+                [recursion.crossing_load] * crossings + [montecarlo._trial_worker] * trials)
+            assert [(job[1], job[2:4]) for job in jobs[:crossings]] == tables[:crossings]
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    @pytest.mark.parametrize("pair", [(3, 3), (0, 3)])
+    def test_bad_dimension_pair_is_refused_before_any_file_or_pool(
+            self, pools, capsys, tmp_path, pair, where):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n_pairs": [list(pair)]}))
+        given = ["--n-pairs", "%d:%d" % pair] if where == "flag" else ["--config", str(cfg)]
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ["phase-diagram", "--rho", "0.5", *given, "--alpha", "1,2", "--trials", "2",
+                "--threads", "2", "--out", str(out / "phase")]
+        assert main(argv) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "ValidationError"
+        assert "two distinct dimensions >= 1" in payload["message"]
+        assert not list(out.iterdir())
         assert pools == []
 
     def test_worker_error_in_the_first_scan_cancels_the_rest(self, pools, monkeypatch,
@@ -1052,9 +1084,9 @@ class TestPool:
         rhos = []
         inner = montecarlo._trial_worker
 
-        def recording(job):
-            rhos.append(job[0].pair_overlap)
-            return inner(job)
+        def recording(spec, *args):
+            rhos.append(spec.pair_overlap)
+            return inner(spec, *args)
 
         monkeypatch.setattr("vclab.montecarlo._trial_worker", recording)
         argv = ["phase-diagram", "--rho", "0.2,0.5,0.8", "--layers", "mc", "--mc-n", "10",
@@ -1064,6 +1096,20 @@ class TestPool:
         assert json.loads(capsys.readouterr().out)["error"] == "BudgetError"
         assert rhos == [0.2]
         assert [pool.shutdowns for pool in pools] == [[True]]
+
+    def test_failed_trial_leaves_the_layers_before_it(self, monkeypatch, tmp_path, capsys):
+        # a real pool: the crossing results are read and written before the
+        # first trial result, which refuses its walk past 5 solves
+        monkeypatch.setattr("vclab.montecarlo.MAX_SOLVES", 5)
+        argv = ["phase-diagram", "--rho", "0.2,0.5", "--mc-n", "10", "--alpha", "1,2.4",
+                "--trials", "2", "--n-pairs", "6:3", "--threads", "2",
+                "--out", str(tmp_path / "phase")]
+        assert main(argv) == 3
+        assert json.loads(capsys.readouterr().out)["error"] == "BudgetError"
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "phase.annealed.csv", "phase.combinatorial.csv", "phase.crossing.csv"]
+        rows = (tmp_path / "phase.crossing.csv").read_text().splitlines()
+        assert len([row for row in rows if not row.startswith("#")]) == 1 + 2  # header, 2 rhos
 
     def test_pool_size_clamped_to_jobs(self, pools):
         estimate_mean_count(PAIRS_HALF, 3, [4], 3, Rng(59), threads=64)

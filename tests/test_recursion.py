@@ -136,6 +136,14 @@ class TestInPlaceStep:
         table = build_count_table(theta, n_max=n_max, p_max=p_max)
         assert table.log_counts.tobytes() == allocating_table(theta, n_max, p_max).tobytes()
 
+    @pytest.mark.parametrize("n_max, p_max", [(1, 5), (2, 6), (9, 40), (40, 300)])
+    @pytest.mark.parametrize("coefficients", [(0.5, 0.0, 0.25), (0.0, 1.5, 0.5), (0.0, 0.0, 0.0)])
+    def test_zero_coefficients_drop_out_of_the_gather(self, coefficients, n_max, p_max):
+        # with theta_1 = 0 the one gather reads shifts 0 and 2, not consecutive ones
+        theta = ThetaCoefficients(k=2, theta=coefficients)
+        table = build_count_table(theta, n_max=n_max, p_max=p_max)
+        assert table.log_counts.tobytes() == allocating_table(theta, n_max, p_max).tobytes()
+
     def test_shifts_past_the_grid_drop_out(self):
         # row n reads only rows <= n, so a grid lower than k is the top of a taller one
         theta = ThetaCoefficients(k=4, theta=(0.5, 0.5, 0.5, 0.25, 0.25))
