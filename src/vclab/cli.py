@@ -699,7 +699,16 @@ class _Command:
         return self.own.get(key, OPTIONS[key])
 
 
-_ALL_CORES = os.cpu_count() or 1
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (all of them where the platform
+    cannot say which)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+_ALL_CORES = _usable_cpus()
 
 COMMANDS: dict[str, _Command] = {
     "count": _Command(cmd_count, "entropy curves from the recursion and/or Monte Carlo", {
@@ -716,7 +725,9 @@ COMMANDS: dict[str, _Command] = {
             "rho_grid": [], "layers": ",".join(_LAYERS), "n_pairs": [(40, 20), (6, 3)],
             "mc_n": 3, "alpha_grid": [1, 2, 3, 4, 5, 6, 8, 10], "trials": 200,
             "out": "phase", "plot_script": None,
-            "seed": 0, "threads": _ALL_CORES}),
+            "seed": 0, "threads": _ALL_CORES},
+        own={"threads": Option("--threads", _INT, "worker processes for the crossing tables "
+                               "and the Monte Carlo trials", _at_least(1))}),
     "mc": _Command(cmd_mc, "SAT-fraction scan over loads", {
         "mode": "pairs", "rho": None, "kappa": None, "n": 3, "alpha_grid": [],
         "trials": 100, "probe": "enumerate", "num_weights": 10000,

@@ -18,7 +18,9 @@ q < p*.
   origin than margin + TAU by 1e-12 (that segment's margin bounds the whole
   set's).  Any other child costs one min-norm-point solve, warm-started
   from the final corral of the last solve on its path, whose rows begin its
-  own.  Refused past `MAX_SOLVES` solves.
+  own, and from that corral's Cholesky factor; the solve reads the signed
+  entries of the Gram matrix of the kp points, whose rows the walk
+  computes when they are first read.  Refused past `MAX_SOLVES` solves.
 * ``full-rank``: kp independent points realize every labeling; the count
   is 2^p with no search (margin 0 only).
 * ``cells`` (margin-0 counts only): read the labelings off the cells of the
@@ -118,6 +120,8 @@ class Dataset:
                 f"points of shape {np.shape(self.points)} do not hold p={self.p} "
                 f"multiplets of k={self.spec.k} points in R^{self.n}"
             )
+        if not np.isfinite(self.points).all():
+            raise ValidationError("points must be finite")
 
     @property
     def flat(self) -> np.ndarray:
@@ -221,6 +225,19 @@ def _pair_conflicts(points: np.ndarray, bar: float) -> tuple[np.ndarray, np.ndar
     return close(g), close(-g)
 
 
+class _GramRows(dict):
+    """Rows of the Gram matrix of the given points, each computed when first
+    read, as a list of floats."""
+
+    def __init__(self, points: np.ndarray):
+        super().__init__()
+        self.points = points
+
+    def __missing__(self, i: int) -> list[float]:
+        row = self[i] = (self.points @ self.points[i]).tolist()
+        return row
+
+
 class _RaceLost(Exception):
     """An extension walk ran past the solve budget of its counting race."""
 
@@ -236,12 +253,18 @@ def _extension_nodes(
     bar = margin + TAU
     # at margin 0 an entry needs exact antipodes, which the first solve refuses
     same, flip = _pair_conflicts(dataset.points, bar) if margin > 0 else ((), ())
+    flat = dataset.flat
+    gram = _GramRows(flat)
+    # the solve's tolerance scale of each prefix of the rows
+    norms = np.einsum("ij,ij->i", flat, flat)
+    scales = np.maximum(np.maximum.accumulate(norms), 1.0).tolist()
     signed = np.empty((p * k, dataset.n))  # row block j: multiplet j times its sign
+    signs = [1] * (p * k)  # the sign of each row of signed
     labels = np.empty(p, dtype=np.int8)
     solves = 0
-    # (depth, sign, the parent's witness if that child is free, the corral and
-    # weights of the last solve on its path)
-    stack = [(0, 1, None, (None, None))]
+    # (depth, sign, the parent's witness if that child is free, the final
+    # corral of the last solve on its path)
+    stack = [(0, 1, None, None)]
     while stack:
         j, s, w, start = stack.pop()
         end = (j + 1) * k
@@ -253,6 +276,7 @@ def _extension_nodes(
             if (row & same[j, : j + 1]).any() or (~row[:j] & flip[j, :j]).any():
                 continue
         signed[j * k : end] = s * dataset.points[j]
+        signs[j * k : end] = (s,) * k
         if not certified:
             if solves == MAX_SOLVES:
                 raise BudgetError(
@@ -263,8 +287,8 @@ def _extension_nodes(
                 raise _RaceLost
             solves += 1
             # warm start: the rows of the last solve on this path begin these
-            d, *start = min_norm_corral(signed[:end], *start)
-            norm = float(np.linalg.norm(d))
+            d, start = min_norm_corral(signed[:end], start, gram, signs, scales[end - 1], bar)
+            norm = math.sqrt(d @ d)
             if norm <= bar:
                 continue
             w = d / norm

@@ -11,7 +11,14 @@ Two exact tools, used by `vclab.montecarlo`:
   and 0.0 is returned (strictness is decided by the tolerance TAU, so the
   exact nonpositive depth is never needed).  The extension engine, which
   makes every SAT/UNSAT decision, calls its warm-startable core
-  `min_norm_corral` once per labeling it cannot certify for free.
+  `min_norm_corral` once per labeling it cannot certify for free.  There
+  each affine minimizer over the corral C comes from the Cholesky factor
+  of G_CC + 11^T (G the Gram matrix of the signed points), which the solve
+  carries in its warm start: a row added to the corral appends a row to
+  the factor, and a dropped one is a Givens downdate of the rows after it.
+  The bordered linear system, solved afresh, stays as the fallback for an
+  affinely dependent row, as the tie-breaker of a |d| at the decision's
+  bar, and as the whole solve of `max_margin` and `min_norm_point`.
 
 * `sign_pattern_blocks` enumerates every sign vector realizable by some
   direction w, i.e. the cells of the central hyperplane arrangement whose
@@ -30,7 +37,8 @@ from __future__ import annotations
 
 import math
 from itertools import combinations, islice, product
-from typing import Iterator
+from operator import mul
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,8 +53,13 @@ TAU = 1e-9
 DEGENERACY_TOL = 1e-9
 
 _MNP_TOL = 1e-13
+# |d| this close to a solve's bar is decided again by the bordered system
+_TIE = 1e-10
+# a squared Cholesky pivot at most this share of its diagonal entry of M marks
+# an affinely dependent row: an exact dependence can leave a few 1e-16 by
+# rounding, and the smallest share on the benchmark's walks is 8e-9
+_PIVOT_TOL = 1e-12
 _BLOCK_ROWS = 2**14  # most candidate rows in one `sign_pattern_blocks` block
-_ZERO = np.zeros(1)
 
 
 def _affine_minimizer(points: np.ndarray) -> np.ndarray:
@@ -68,65 +81,182 @@ def _affine_minimizer(points: np.ndarray) -> np.ndarray:
     return sol[:s]
 
 
+class Corral(NamedTuple):
+    """Where `min_norm_corral` ends, and where it can start again: the
+    corral's row indices, their positive weights (summing to 1), and the
+    lower Cholesky factor of M = G_CC + 11^T, one tuple per row (None after
+    a solve that ended on the bordered path).  Nothing here is edited in
+    place, so one warm start can serve several solves."""
+
+    rows: tuple[int, ...]
+    lam: tuple[float, ...]
+    factor: tuple[tuple[float, ...], ...] | None
+
+
 def min_norm_point(points: np.ndarray) -> np.ndarray:
     """Minimum-norm point of the convex hull of the rows (Wolfe's algorithm),
     from a cold start at the shortest row; see `min_norm_corral`."""
-    x_rows = np.asarray(points, dtype=float)
-    if x_rows.ndim != 2 or x_rows.shape[0] < 1:
-        raise ValidationError("min_norm_point needs a nonempty 2-D point array")
-    return min_norm_corral(x_rows)[0]
+    return min_norm_corral(_point_rows(points))[0]
 
 
 def min_norm_corral(
-    x_rows: np.ndarray, corral: list[int] | None = None, lam: np.ndarray | None = None
-) -> tuple[np.ndarray, list[int], np.ndarray]:
+    x_rows: np.ndarray,
+    start: Corral | None = None,
+    gram: Mapping[int, Sequence[float]] | Sequence[Sequence[float]] | None = None,
+    signs: Sequence[int] | None = None,
+    scale: float | None = None,
+    bar: float | None = None,
+) -> tuple[np.ndarray, Corral]:
     """Wolfe's minimum-norm-point algorithm on the rows of a float array,
-    returning (d, corral, lam) with d = lam @ x_rows[corral].
+    returning d and the final `Corral`, with d = lam @ x_rows[rows].
 
     Maintains a corral of affinely independent rows; alternates between
     adding the row most violating the support condition
     min_j x_j . d >= |d|^2 and pruning the corral to keep the affine
     minimizer inside the simplex.  Terminates at the exact optimum up to
-    the support tolerance.  It starts from ``corral`` with positive weights
-    ``lam`` summing to 1 (a warm start, such as the final corral of a
+    the support tolerance ``_MNP_TOL * scale``, with ``scale`` the largest
+    squared row norm and at least 1 (computed here when not given).  It
+    starts from ``start`` (a warm start, such as the final corral of a
     prefix of the rows), or, when none is given, from the shortest row.
+
+    Given ``gram`` and ``signs`` (row j of x_rows is ``signs[j]`` times a
+    point whose Gram row is ``gram[j]``, so G_ij = signs[i] signs[j]
+    gram[i][j]), each affine minimizer comes from a factor (Wolfe's own
+    step).  The minimizer over a corral C is M^-1 1 / (1^T M^-1 1) with
+    M = G_CC + 11^T, which is positive definite exactly when C is affinely
+    independent: two triangular solves on its lower Cholesky factor L, in
+    Python floats.  Adding a row appends one row to L, from |C| entries of
+    G; dropping one rotates the rows after it back to lower-triangular form
+    with Givens rotations and removes the emptied column.  A pivot whose
+    square is at most `_PIVOT_TOL` of its diagonal entry of M (an affinely
+    dependent row, to rounding) ends the factor, and the rest of the solve
+    solves the bordered system of `_affine_minimizer`, as a solve without
+    ``gram`` does throughout; a start without a factor is factored again.
+    When |d| lands within `_TIE` of ``bar``, the weights and d are taken
+    again from the final corral by the bordered system, so a decision
+    |d| > bar near the bar is the one that system gives.
     """
     m = x_rows.shape[0]
-    norms = np.einsum("ij,ij->i", x_rows, x_rows)
-    scale = max(float(norms.max()), 1.0)
-    if corral is None:
-        corral, lam = [int(norms.argmin())], np.ones(1)
+    if scale is None or start is None:
+        norms = np.einsum("ij,ij->i", x_rows, x_rows)
+        if scale is None:
+            scale = max(float(norms.max()), 1.0)
+    if start is None:
+        corral, lam, factor = [int(norms.argmin())], [1.0], None
     else:
-        corral = list(corral)  # grown below; a warm start may serve several calls
-    d = lam @ x_rows[corral]
+        corral, lam, factor = list(start.rows), list(start.lam), start.factor
+    if gram is None:
+        factor = None
+    elif factor is None:
+        factor = ()
+        for c in corral:
+            factor = _append_row(factor, corral, c, gram, signs)
+            if factor is None:
+                break
+    d = np.dot(lam, x_rows[corral])
     for _ in range(16 * m + 64):
         dots = x_rows @ d
         j = int(dots.argmin())
         # j in corral: an arithmetic stall, d is optimal to working precision
         if dots[j] > d @ d - _MNP_TOL * scale or j in corral:
             break
+        if factor is not None:
+            factor = _append_row(factor, corral, j, gram, signs)
         corral.append(j)
-        lam = np.concatenate((lam, _ZERO))
+        lam.append(0.0)
         while True:
-            w = _affine_minimizer(x_rows[corral])
-            if w.min() > 1e-12:
+            if factor is None:
+                w = _affine_minimizer(x_rows[corral]).tolist()
+            else:
+                w = _factored_minimizer(factor)
+            if min(w) > 1e-12:
                 lam = w
                 break
             # step toward w until the first coefficient hits zero, drop it
-            shrink = lam - w
-            blocking = (shrink > 1e-15) & (w <= 1e-12)
-            theta = min(1.0, float((lam[blocking] / shrink[blocking]).min(initial=np.inf)))
-            lam = (1.0 - theta) * lam + theta * w
-            lam[lam < 1e-12] = 0.0
-            keep = lam > 0.0
-            if keep.all():
-                lam = lam / lam.sum()
+            theta = min([1.0] + [a / (a - b) for a, b in zip(lam, w)
+                                 if a - b > 1e-15 and b <= 1e-12])
+            lam = [(1.0 - theta) * a + theta * b for a, b in zip(lam, w)]
+            keep = [a >= 1e-12 for a in lam]
+            if all(keep):
+                total = sum(lam)
+                lam = [a / total for a in lam]
                 break
+            if factor is not None:
+                for i in range(len(keep) - 1, -1, -1):
+                    if not keep[i]:
+                        factor = _drop_row(factor, i)
             corral = [c for c, kp in zip(corral, keep) if kp]
-            lam = lam[keep]
-            lam = lam / lam.sum()
-        d = lam @ x_rows[corral]
-    return d, corral, lam
+            lam = [a for a, kp in zip(lam, keep) if kp]
+            total = sum(lam)
+            lam = [a / total for a in lam]
+        d = np.dot(lam, x_rows[corral])
+    if bar is not None and abs(math.sqrt(d @ d) - bar) <= _TIE:
+        lam = _affine_minimizer(x_rows[corral]).tolist()
+        d = np.dot(lam, x_rows[corral])
+    return d, Corral(tuple(corral), tuple(lam), factor)
+
+
+def _append_row(factor: tuple, corral: list[int], j: int, gram, signs) -> tuple | None:
+    """The Cholesky factor of M = G_CC + 11^T with row j appended to the
+    corral C, or None when its squared pivot is at most `_PIVOT_TOL` of its
+    diagonal entry (j is in the affine hull of C, to rounding).  ``factor``
+    covers the first len(factor) rows of C."""
+    row, sj = gram[j], signs[j]
+    y = []
+    for r, lr in enumerate(factor):
+        c = corral[r]
+        y.append((sj * signs[c] * row[c] + 1.0 - sum(map(mul, lr, y))) / lr[r])
+    diag = row[j] + 1.0
+    pivot = diag - sum(map(mul, y, y))
+    if not pivot > _PIVOT_TOL * diag:
+        return None
+    y.append(math.sqrt(pivot))
+    return factor + (tuple(y),)
+
+
+def _drop_row(factor: tuple, i: int) -> tuple:
+    """The Cholesky factor with row and column i of M removed: the rows
+    after i, one column too long, are rotated back to lower-triangular form
+    by Givens rotations on adjacent columns, which leave L L^T unchanged."""
+    rows = [list(r) for r in factor[i + 1 :]]
+    for t, row in enumerate(rows):
+        col = i + t
+        a, b = row[col], row[col + 1]
+        h = math.hypot(a, b)
+        cs, sn = a / h, b / h
+        for other in rows[t + 1 :]:
+            u, v = other[col], other[col + 1]
+            other[col], other[col + 1] = cs * u + sn * v, cs * v - sn * u
+        row[col] = h
+        row.pop()
+    return factor[:i] + tuple(tuple(r) for r in rows)
+
+
+def _factored_minimizer(factor: tuple) -> list[float]:
+    """Affine-minimizer weights from the Cholesky factor L of M: z = M^-1 1
+    by y = L^-1 1 and z = L^-T y, then z / sum(z)."""
+    z = []
+    for lr in factor:
+        z.append((1.0 - sum(map(mul, lr, z))) / lr[len(z)])
+    # back substitution in place, column by column of L^T (row by row of L)
+    for r in range(len(factor) - 1, -1, -1):
+        lr = factor[r]
+        zr = z[r] = z[r] / lr[r]
+        for c in range(r):
+            z[c] -= lr[c] * zr
+    total = sum(z)
+    return [v / total for v in z]
+
+
+def _point_rows(points) -> np.ndarray:
+    """The points as a float (m, n) array; `ValidationError` unless it is
+    nonempty and finite."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[0] < 1:
+        raise ValidationError("points must be a nonempty (m, n) array")
+    if not np.isfinite(pts).all():
+        raise ValidationError("points must be finite")
+    return pts
 
 
 def max_margin(points: np.ndarray, signs: np.ndarray) -> float:
@@ -136,15 +266,13 @@ def max_margin(points: np.ndarray, signs: np.ndarray) -> float:
     when that is positive; values at or below TAU collapse to exactly 0.0
     (not strictly separable).
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise ValidationError("points must be a (m, n) array")
+    pts = _point_rows(points)
     sg = np.asarray(signs, dtype=float).reshape(-1)
     if sg.shape[0] != pts.shape[0]:
         raise ValidationError("one sign per point required")
     if not np.all(np.abs(sg) == 1.0):
         raise ValidationError("signs must be +/-1")
-    d = min_norm_point(sg[:, None] * pts)
+    d = min_norm_corral(sg[:, None] * pts)[0]
     value = float(np.linalg.norm(d))
     return value if value > TAU else 0.0
 

@@ -3,11 +3,13 @@
 import dataclasses
 import json
 import math
+import os
 import re
 
 import pytest
 
 from vclab import Rng, StructureSpec, __version__, montecarlo, psi2, sat_fraction_scan
+from vclab import cli
 from vclab.cli import COMMANDS, OPTIONS, main
 
 
@@ -747,3 +749,24 @@ class TestOptionTable:
         listed = re.findall(r"^  (?:-h, )?(--[\w-]+)", text, re.M)
         expected = ["--help", "--config"] + [OPTIONS[k].flag for k in COMMANDS[command].options]
         assert sorted(listed) == sorted(expected)
+
+
+class TestThreadsDefault:
+    def test_pooled_commands_default_to_the_usable_cpus(self, capsys):
+        usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
+        assert cli._usable_cpus() == (usable or os.cpu_count() or 1)
+        for command in ("phase-diagram", "mc"):
+            assert COMMANDS[command].options["threads"] == cli._ALL_CORES == cli._usable_cpus()
+        assert COMMANDS["count"].options["threads"] == 1
+        with pytest.raises(SystemExit):
+            main(["phase-diagram", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert re.search(r"--threads INT worker processes for the crossing tables and the "
+                         rf"Monte Carlo trials; >= 1; default {cli._ALL_CORES}", text)
+
+    def test_cpu_count_where_the_affinity_is_unknown(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 7)
+        assert cli._usable_cpus() == 7
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._usable_cpus() == 1

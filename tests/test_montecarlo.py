@@ -31,9 +31,11 @@ from vclab.montecarlo import (
 )
 from vclab.numerics import Rng
 from vclab.recursion import build_count_table, cover_count_exact
+from vclab import separability
 from vclab.separability import (
     _MNP_TOL,
     TAU,
+    Corral,
     _affine_minimizer,
     cell_scan_cost,
     dedupe_directions,
@@ -190,6 +192,15 @@ class TestSampling:
         for spec, n, p in ((PAIRS_HALF, 3, 3), (UNSTRUCTURED, 3, 30), (PAIRS_HALF, 2, 30)):
             with pytest.raises(ValidationError):
                 probe(Dataset(spec=spec, n=n, p=p, points=points))
+
+    @pytest.mark.parametrize("probe", [admissible_exists, count_admissible_dichotomies])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_points_are_refused(self, probe, bad):
+        # an inf coordinate read as SAT, and the counts died in numpy
+        points = sample_dataset(PAIRS_HALF, 3, 4, Rng(5)).points.copy()
+        points[2, 1, 0] = bad
+        with pytest.raises(ValidationError, match="points must be finite"):
+            probe(Dataset(spec=PAIRS_HALF, n=3, p=4, points=points))
 
 
 class TestCounting:
@@ -456,6 +467,128 @@ class TestExtensionEngine:
         assert calls == [2 * 4, 2 * 30] and scans == [4, 30]
 
 
+def factored_solve(points: np.ndarray, signs: np.ndarray, start: Corral | None = None):
+    """`min_norm_corral` on the factored path over the signed rows, reading
+    the Gram rows of the unsigned points, as the extension walk does."""
+    return min_norm_corral(signs[:, None] * points, start, (points @ points.T).tolist(),
+                           signs.astype(int).tolist())
+
+
+def factored_row_sets() -> list[tuple[np.ndarray, np.ndarray]]:
+    """(points, signs): random rows, duplicate and antipodal rows, rank
+    drops, and pairs at rho = +-1 with one sign per pair."""
+    gen = Rng(74).generator()
+    sets = []
+    for _ in range(80):
+        m, n = int(gen.integers(2, 14)), int(gen.integers(1, 7))
+        sets.append(gen.standard_normal((m, n)))
+    for n in (2, 3, 5):
+        pts = rank_r_points(n, n, 7, (n, 4))
+        sets.append(np.vstack([pts, pts[1], -pts[3], pts[1], -pts[1]]))
+        sets.append(rank_r_points(n + 2, n, 9, (n, 5)))
+        sets.append(rank_r_points(n, 1, 4, (n, 6)))
+    sets = [(pts, gen.choice([-1.0, 1.0], size=len(pts))) for pts in sets]
+    for rho in (-1.0, 1.0):
+        for n, p in ((2, 5), (3, 6), (5, 7)):
+            pts = sample_dataset(StructureSpec.pairs(rho), n, p, Rng(75, (n, p))).flat
+            sets.append((pts, np.repeat(gen.choice([-1.0, 1.0], size=p), 2)))
+    return sets
+
+
+def check_corral(x_rows: np.ndarray, d: np.ndarray, corral: Corral) -> None:
+    """d is the optimum its corral's weights give, to the support tolerance,
+    and a carried factor is the Cholesky factor of G_CC + 11^T."""
+    rows = list(corral.rows)
+    lam = np.array(corral.lam)
+    assert np.all(lam > 0) and lam.sum() == pytest.approx(1.0)
+    np.testing.assert_array_equal(d, lam @ x_rows[rows])
+    assert float((x_rows @ d).min()) >= float(d @ d) - 1e-9
+    if corral.factor is not None:
+        low = np.zeros((len(rows), len(rows)))
+        for r, row in enumerate(corral.factor):
+            assert len(row) == r + 1
+            low[r, : r + 1] = row
+        sub = x_rows[rows]
+        np.testing.assert_allclose(low @ low.T, sub @ sub.T + 1.0, atol=1e-9)
+
+
+class TestFactoredStep:
+    """The Cholesky-factored min-norm step against the cold bordered oracle."""
+
+    def test_differential_sweep(self):
+        gen = Rng(76).generator()
+        full = 0  # solves whose corral reached n + 1 rows
+        for points, signs in factored_row_sets():
+            x_rows = signs[:, None] * points
+            oracle = float(np.linalg.norm(cold_min_norm_point(x_rows)))
+            d, corral = factored_solve(points, signs)
+            check_corral(x_rows, d, corral)
+            assert np.linalg.norm(d) == pytest.approx(oracle, abs=1e-9)
+            full += len(corral.rows) == points.shape[1] + 1
+            # warm-started from the final corral of a prefix, as in the walk
+            q = int(gen.integers(1, len(points)))
+            _, start = factored_solve(points[:q], signs[:q])
+            d, corral = factored_solve(points, signs, start)
+            check_corral(x_rows, d, corral)
+            assert np.linalg.norm(d) == pytest.approx(oracle, abs=1e-9)
+        assert full >= 10
+
+    def test_dependent_row_falls_back_to_the_bordered_solve(self, monkeypatch):
+        calls = []
+
+        def recording(points):
+            calls.append(points.shape[0])
+            return _affine_minimizer(points)
+
+        monkeypatch.setattr("vclab.separability._affine_minimizer", recording)
+        points = np.array([[1.0, 2.0], [3.0, 4.0], [1.0, 2.0], [-2.0, 1.0], [0.5, -3.0]])
+        signs = np.ones(5)
+        oracle = float(np.linalg.norm(cold_min_norm_point(points)))
+        # a start whose corral holds a duplicate row: its factor's last pivot
+        # is not positive, so the whole solve runs on the bordered path
+        start = Corral((0, 1, 2), (0.25, 0.25, 0.5), None)
+        d, corral = factored_solve(points, signs, start)
+        assert calls and corral.factor is None
+        assert np.linalg.norm(d) == pytest.approx(oracle, abs=1e-9)
+        # an insert refused mid-solve finishes that solve on the bordered path;
+        # the next solve from its corral factors it again
+        real = separability._append_row
+        inserts = []
+
+        def refuse_the_second(factor, corral, j, gram, signs):
+            inserts.append(j)
+            return None if len(inserts) == 2 else real(factor, corral, j, gram, signs)
+
+        monkeypatch.setattr("vclab.separability._append_row", refuse_the_second)
+        calls.clear()
+        d, corral = factored_solve(points, signs)
+        assert len(inserts) >= 2 and calls and corral.factor is None
+        assert np.linalg.norm(d) == pytest.approx(oracle, abs=1e-9)
+        monkeypatch.setattr("vclab.separability._append_row", real)
+        calls.clear()
+        d, corral = factored_solve(points, signs, corral)
+        assert calls == [] and corral.factor is not None
+        check_corral(points, d, corral)
+
+    def test_one_warm_start_serves_both_children(self):
+        # the two children of a node solve from the same corral, in any order
+        gen = Rng(77).generator()
+        for _ in range(40):
+            n, q = int(gen.integers(2, 6)), int(gen.integers(2, 8))
+            points = gen.standard_normal((q + 2, n))
+            signs = gen.choice([-1.0, 1.0], size=q + 2)
+            _, start = factored_solve(points[:q], signs[:q])
+            snapshot = (start.rows, start.lam, start.factor)
+            children = [signs.copy(), signs.copy()]
+            children[1][q:] *= -1
+            first = [factored_solve(points, sg, start) for sg in children]
+            second = [factored_solve(points, sg, start) for sg in reversed(children)][::-1]
+            assert (start.rows, start.lam, start.factor) == snapshot
+            for (d1, c1), (d2, c2) in zip(first, second):
+                np.testing.assert_array_equal(d1, d2)
+                assert c1 == c2
+
+
 class TestExistence:
     def test_always_sat_when_p_small(self):
         for t in range(5):
@@ -526,9 +659,9 @@ def solves(monkeypatch):
     """Record the number of rows of every extension-engine solve."""
     seen = []
 
-    def recording(points, *start):
+    def recording(points, *args):
         seen.append(points.shape[0])
-        return min_norm_corral(points, *start)
+        return min_norm_corral(points, *args)
 
     monkeypatch.setattr("vclab.montecarlo.min_norm_corral", recording)
     return seen

@@ -136,10 +136,11 @@ class TestMaxMargin:
         for _ in range(200):
             m, n = int(gen.integers(2, 12)), int(gen.integers(1, 6))
             pts = gen.standard_normal((m, n))
-            _, corral, lam = min_norm_corral(pts[: int(gen.integers(1, m))])
-            d, corral, lam = min_norm_corral(pts, corral, lam)
+            _, start = min_norm_corral(pts[: int(gen.integers(1, m))])
+            d, (corral, lam, _) = min_norm_corral(pts, start)
+            lam = np.array(lam)
             assert np.all(lam > 0) and lam.sum() == pytest.approx(1.0)
-            np.testing.assert_array_equal(d, lam @ pts[corral])
+            np.testing.assert_array_equal(d, lam @ pts[list(corral)])
             assert float((pts @ d).min()) >= float(d @ d) - 1e-9
             assert np.linalg.norm(d) == pytest.approx(np.linalg.norm(min_norm_point(pts)), abs=1e-6)
 
@@ -148,6 +149,15 @@ class TestMaxMargin:
             max_margin(np.eye(2), [1, 2])
         with pytest.raises(ValidationError):
             max_margin(np.eye(2), [1])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_points_are_refused(self, bad):
+        # an inf point once gave the margin 1.0, a NaN a bare numpy error
+        points = [[1.0, 0.0], [bad, 1.0]]
+        with pytest.raises(ValidationError, match="points must be finite"):
+            max_margin(points, [1, 1])
+        with pytest.raises(ValidationError, match="points must be finite"):
+            min_norm_point(points)
 
 
 class TestLinearlySeparable:
