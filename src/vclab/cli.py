@@ -61,13 +61,14 @@ from .errors import (
 from .montecarlo import (
     PROBES,
     _map_ordered,
+    count_jobs,
     crossover_load,
-    estimate_mean_count,
     sat_fraction_scan,
     scan_jobs,
 )
+from .montecarlo import estimate_mean_count  # noqa: F401  (a traced name of bench/spans.py)
 from .numerics import NEG_INF, Rng
-from .recursion import build_count_table, crossing_load
+from .recursion import build_count_table, crossing_load, crossing_p_max
 from .structure import StructureSpec, psi2, psi_m_estimate, psi_vector, theta_coefficients
 
 
@@ -386,14 +387,16 @@ def cmd_count(cfg: dict) -> int:
                     ("recursion", str(n), _f(alpha * n), _f(alpha), _f(value), _f(0.0))
                 )
     trials = cfg["trials"]
-    if trials:
-        for i, n in enumerate(n_list):
-            loads = [p for p in (int(round(alpha * n)) for alpha in grid) if p >= 1]
-            if not loads:
-                continue
-            means = estimate_mean_count(
-                spec, n, loads, trials, rng.substream(i), threads=cfg["threads"]
-            )
+    # (n, loads, rng) of every dimension with a load; dimension i reads
+    # rng.substream(i), and all of them share one pool
+    dims = []
+    for i, n in enumerate(n_list if trials else []):
+        loads = [p for p in (int(round(alpha * n)) for alpha in grid) if p >= 1]
+        if loads:
+            dims.append((n, loads, rng.substream(i)))
+    if dims:
+        jobs, reduce = count_jobs(spec, dims, trials)
+        for (n, loads, _), means in zip(dims, reduce(_map_ordered(jobs, cfg["threads"]))):
             for p, (mean, err) in zip(loads, means):
                 logc = math.log(mean) if mean > 0 else NEG_INF
                 log_err = err / mean if mean > 0 else 0.0
@@ -476,17 +479,15 @@ def cmd_phase_diagram(cfg: dict) -> int:
     layers = _layer_names(cfg["layers"])
     stem = cfg["out"]
     rng = Rng(cfg["seed"])
-    # the crossing tables, one per (rho, pair), run ahead of the mc trials as
+    # the crossing loads, one job per rho, run ahead of the mc trials as
     # jobs of one pool, so they overlap the trials
-    crossings, jobs = [], []
+    jobs = []
     if "crossing" in layers:
         for rho in rho_grid:
             star = transition_load(psi2(rho), 1.0).alpha_star
             window = (max(0.5, 0.4 * star), 1.8 * star)
             theta = theta_coefficients(StructureSpec.pairs(rho))
-            for n1, n2 in cfg["n_pairs"]:
-                crossings.append((_f(rho), str(n1), str(n2)))
-                jobs.append((crossing_load, theta, n1, n2, window))
+            jobs.append((_crossing_loads, theta, cfg["n_pairs"], window))
     if "mc" in layers:
         scans = [(StructureSpec.pairs(rho), rng.substream(i)) for i, rho in enumerate(rho_grid)]
         trial_jobs, reduce = scan_jobs(scans, cfg["mc_n"], cfg["alpha_grid"], cfg["trials"])
@@ -505,7 +506,9 @@ def cmd_phase_diagram(cfg: dict) -> int:
             _write_csv(f"{stem}.{layer}.csv", cfg, columns, rows)
     results = _map_ordered(jobs, cfg["threads"])
     if "crossing" in layers:
-        rows = [(*key, _f(next(results)), METHOD_CROSSING) for key in crossings]
+        rows = [(_f(rho), str(n1), str(n2), _f(alpha), METHOD_CROSSING)
+                for rho in rho_grid
+                for (n1, n2), alpha in zip(cfg["n_pairs"], next(results))]
         _write_csv(f"{stem}.crossing.csv", cfg, ["rho", "n1", "n2", "alpha_cross", "method"], rows)
     if "mc" in layers:
         rows = [
@@ -519,6 +522,14 @@ def cmd_phase_diagram(cfg: dict) -> int:
     if cfg.get("plot_script"):
         _write_text(cfg["plot_script"], _gnuplot_phase(stem, layers))
     return 0
+
+
+def _crossing_loads(theta, pairs: list[tuple[int, int]], window) -> list[float]:
+    """The crossing load of each dimension pair, in pair order, read off one
+    count table at the largest dimension, which every pair shares."""
+    n_max = max(max(pair) for pair in pairs)
+    table = build_count_table(theta, n_max, crossing_p_max(n_max, window))
+    return [crossing_load(theta, n1, n2, window, table) for n1, n2 in pairs]
 
 
 def _gnuplot_phase(stem: str, layers: list[str]) -> str:

@@ -48,11 +48,15 @@ random-classifier trials probe the loads in ascending order up to the first
 UNSAT one.  A counting probe also decides SAT, so mean counts and SAT
 fractions describe the same disorder.  A library call runs its jobs
 through one process pool and reduces them in job order, so results are
-bit-reproducible for any worker count; `sat_fraction_scans` runs the
-trials of several scans as the jobs of one call, and `scan_jobs` hands
-those jobs to a caller that runs other jobs ahead of them in the same
-pool (a phase diagram's crossing tables, ahead of every pair overlap's
-trials).
+bit-reproducible for any worker count.  `scan_jobs` and `count_jobs` build
+the trial jobs of several scans, or of the mean counts of several
+dimensions, and the function that reduces their results; a caller runs
+them in one pool, after other jobs of its own if it likes (a phase
+diagram's crossing tables, ahead of every pair overlap's trials).  Both
+builders import `numpy.random`, which numpy loads lazily, into this
+process, so a pool forked after them starts with it loaded and no worker
+pays the import on its first trial; `import vclab` and a command that
+never samples do not load it.
 """
 
 from __future__ import annotations
@@ -85,8 +89,9 @@ METHOD_EXTENSION = "extension"
 METHOD_RANDOM = "random-classifier"
 
 # Most min-norm-point solves of one extension probe: more than the prefix
-# tree of p = 22 multiplets has nodes, 10-22 min at 0.15-0.31 ms per
-# warm-started solve (counting pairs at n = 6-10, p = 8-24, 2-core Xeon).
+# tree of p = 22 multiplets has nodes, 3.0-3.6 min at 43-51 us per factored
+# warm-started solve (solves recorded from the workload commands at n = 3
+# and 5, 2-core Xeon).
 MAX_SOLVES = 2**22
 
 # Candidate patterns of a cell scan (`cell_scan_cost`) priced as one
@@ -471,6 +476,47 @@ def _mean_stderr(counts: list[int]) -> tuple[float, float]:
     return float(values.mean()), float(stderr)
 
 
+def _load_sampler() -> None:
+    """Import `numpy.random` into this process before a pool forks from it
+    (see the module docstring)."""
+    import numpy.random  # noqa: F401
+
+
+def count_jobs(
+    spec: StructureSpec,
+    dims: list[tuple[int, list[int], Rng]],
+    trials: int,
+) -> tuple[list, Callable[[Iterator], list[list[tuple[float, float]]]]]:
+    """The jobs of the mean counts of several dimensions, for `_map_ordered`,
+    and the function that reduces their results, read in job order, to one
+    list of (mean, standard error) per dimension, one pair per load.
+
+    ``dims`` holds (n, loads, rng) per dimension; its trial t is one
+    multiplet sequence from ``rng.substream(t)``, and load p counts its
+    first p multiplets.  Each (dimension, distinct load, trial) is one job,
+    counted in full: dimension-major, then load-major in first-occurrence
+    order.  Every argument is checked here, before any job runs."""
+    if trials < 2:
+        raise ValidationError("need at least 2 trials for a standard error")
+    for _, loads, _ in dims:
+        if not loads or min(loads) < 1:
+            raise ValidationError(f"need a non-empty list of loads p >= 1, got {loads}")
+    distinct = [list(dict.fromkeys(loads)) for _, loads, _ in dims]
+    jobs = [(_trial_worker, spec, n, [p], 0.0, _COUNT, 0, rng.substream(t))
+            for (n, _, rng), ps in zip(dims, distinct) for p in ps for t in range(trials)]
+    _load_sampler()
+
+    def reduce(results: Iterator) -> list[list[tuple[float, float]]]:
+        counts = (c for c, in results)
+        means = []
+        for (_, loads, _), ps in zip(dims, distinct):
+            at = {p: _mean_stderr(list(islice(counts, trials))) for p in ps}
+            means.append([at[p] for p in loads])
+        return means
+
+    return jobs, reduce
+
+
 def estimate_mean_count(
     spec: StructureSpec,
     n: int,
@@ -484,22 +530,13 @@ def estimate_mean_count(
     The error is zero whenever the count is deterministic (e.g. k=1 in
     general position).
 
-    Trial t is one multiplet sequence from ``rng.substream(t)``; load p
-    counts its first p multiplets.  Each (distinct load, trial) is one job,
-    counted in full, load-major in first-occurrence order; all share one
-    process pool.
+    One dimension of `count_jobs`: trial t is one multiplet sequence from
+    ``rng.substream(t)``, load p counts its first p multiplets, and each
+    (distinct load, trial) is one job, load-major; all share one process
+    pool.  `vclab count` runs every dimension's jobs in one pool instead.
     """
-    if trials < 2:
-        raise ValidationError("need at least 2 trials for a standard error")
-    if not loads or min(loads) < 1:
-        raise ValidationError(f"need a non-empty list of loads p >= 1, got {loads}")
-    distinct = list(dict.fromkeys(loads))
-    jobs = [(_trial_worker, spec, n, [p], 0.0, _COUNT, 0, rng.substream(t))
-            for p in distinct for t in range(trials)]
-    counts = [c for c, in _map_ordered(jobs, threads)]
-    means = {p: _mean_stderr(counts[i * trials : (i + 1) * trials])
-             for i, p in enumerate(distinct)}
-    return [means[p] for p in loads]
+    jobs, reduce = count_jobs(spec, [(n, loads, rng)], trials)
+    return reduce(_map_ordered(jobs, threads))[0]
 
 
 def scan_jobs(
@@ -533,6 +570,7 @@ def scan_jobs(
     distinct = sorted(set(loads))
     jobs = [(_trial_worker, spec, n, distinct, margin, probe, num_weights, rng.substream(t))
             for spec, rng in scans for t in range(trials)]
+    _load_sampler()
 
     def reduce(results: Iterator) -> list[list[PhasePoint]]:
         results = list(results)

@@ -118,11 +118,18 @@ def build_count_table(theta: ThetaCoefficients, n_max: int, p_max: int) -> Count
     return CountTable(theta=theta, n_max=n_max, p_max=p_max, log_counts=grid)
 
 
+def crossing_p_max(n_max: int, alpha_window: tuple[float, float]) -> int:
+    """Columns of the count table a crossing at dimensions up to n_max reads
+    over the load window."""
+    return int(math.ceil(alpha_window[1] * n_max)) + 1
+
+
 def crossing_load(
     theta: ThetaCoefficients,
     n1: int,
     n2: int,
     alpha_window: tuple[float, float],
+    table: CountTable | None = None,
 ) -> float:
     """Load at which the entropy curves for dimensions n1 and n2 cross.
 
@@ -132,6 +139,11 @@ def crossing_load(
     `NoCrossingError` when the difference keeps one sign over the window,
     which is the generic situation for Cover's k=1 recursion where the
     curves diverge monotonically.
+
+    ``table`` is a count table of theta to read instead of building one at
+    (max(n1, n2), `crossing_p_max`); a larger one gives the same load, as
+    row n of a table reads only rows <= n and its columns only the columns
+    before them, so several dimension pairs can share one table.
     """
     if n1 < 1 or n2 < 1:
         raise ValidationError(f"dimensions must be >= 1, got n1={n1}, n2={n2}")
@@ -141,8 +153,14 @@ def crossing_load(
     if not (0 < lo < hi):
         raise ValidationError(f"invalid load window {alpha_window}")
     n_max = max(n1, n2)
-    p_max = int(math.ceil(hi * n_max)) + 1
-    table = build_count_table(theta, n_max=n_max, p_max=p_max)
+    p_max = crossing_p_max(n_max, alpha_window)
+    if table is None:
+        table = build_count_table(theta, n_max=n_max, p_max=p_max)
+    elif table.theta != theta or table.n_max < n_max or table.p_max < p_max:
+        raise ValidationError(
+            f"a {table.n_max} x {table.p_max} table of {table.theta} does not hold the "
+            f"{n_max} x {p_max} grid of this crossing of {theta}"
+        )
 
     def gap(alpha: float) -> float:
         return table.log_count_at_load(n1, alpha) - table.log_count_at_load(n2, alpha)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vclab.asymptotics import transition_load
 from vclab.errors import NoCrossingError, OutOfGridError, ValidationError
 from vclab.numerics import NEG_INF
 from vclab.recursion import (
@@ -14,6 +15,7 @@ from vclab.recursion import (
     build_count_table,
     cover_count_exact,
     crossing_load,
+    crossing_p_max,
 )
 from vclab.structure import StructureSpec, ThetaCoefficients, psi2, theta_coefficients
 
@@ -215,3 +217,29 @@ class TestCrossing:
         for n1, n2 in ((0, 3), (3, 0), (-2, 3)):
             with pytest.raises(ValidationError):
                 crossing_load(ORTHOGONAL_PAIRS, n1, n2, (2.0, 8.0))
+
+    @pytest.mark.parametrize("rho", [-0.5, 0.0, 0.2, 0.5, 0.8, 0.95])
+    def test_pairs_share_the_table_of_the_largest(self, rho):
+        # the window and pairs of `vclab phase-diagram`: the (6, 3) table is
+        # the corner of the (40, 20) one, so both read the same loads off it
+        star = transition_load(psi2(rho), 1.0).alpha_star
+        window = (max(0.5, 0.4 * star), 1.8 * star)
+        theta = theta_coefficients(StructureSpec.pairs(rho))
+        shared = build_count_table(theta, 40, crossing_p_max(40, window))
+        small = build_count_table(theta, 6, crossing_p_max(6, window)).log_counts
+        assert small.tobytes() == np.ascontiguousarray(
+            shared.log_counts[: small.shape[0], : small.shape[1]]).tobytes()
+        for n1, n2 in ((40, 20), (6, 3)):
+            assert crossing_load(theta, n1, n2, window, shared) == crossing_load(
+                theta, n1, n2, window)
+
+    def test_a_table_short_of_the_grid_or_of_another_theta_is_refused(self):
+        window = (2.0, 8.0)
+        fits = build_count_table(ORTHOGONAL_PAIRS, 40, crossing_p_max(40, window))
+        for table in (build_count_table(ORTHOGONAL_PAIRS, 39, crossing_p_max(40, window)),
+                      build_count_table(ORTHOGONAL_PAIRS, 40, crossing_p_max(40, window) - 1),
+                      build_count_table(COVER, 40, crossing_p_max(40, window))):
+            with pytest.raises(ValidationError, match="does not hold"):
+                crossing_load(ORTHOGONAL_PAIRS, 40, 20, window, table)
+        assert crossing_load(ORTHOGONAL_PAIRS, 40, 20, window, fits) == crossing_load(
+            ORTHOGONAL_PAIRS, 40, 20, window)
