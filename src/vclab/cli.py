@@ -34,7 +34,7 @@ import math
 import os
 import sys
 from collections import namedtuple
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -146,6 +146,9 @@ def _resolve_spec(cfg: dict) -> StructureSpec:
     if k is None:
         raise ValidationError("no structure spec: give --k/--rho or a config 'spec'")
     if k == 1:
+        # one point per multiplet has no overlap to set
+        if rho is not None:
+            raise ValidationError("--rho needs --k >= 2, not 1")
         return StructureSpec.unstructured()
     if rho is None:
         raise ValidationError("k > 1 needs --rho (or a full 'spec' object)")
@@ -617,6 +620,9 @@ def cmd_mc(cfg: dict) -> int:
 def cmd_fss(cfg: dict) -> int:
     theta0, theta1 = _thetas(cfg, "fss")
     n_list = cfg["n_list"]
+    if len(set(n_list)) < 2:
+        # one curve has nothing to collapse onto: its score is undefined
+        raise ValidationError(f"fss needs two distinct dimensions --n, got {_show(n_list)}")
     if cfg.get("alpha_star") is not None:
         alpha_star = cfg["alpha_star"]
     else:
@@ -667,6 +673,8 @@ def _gnuplot_fss(csv_path: str, n_list: list[int]) -> str:
 
 def cmd_psi(cfg: dict) -> int:
     spec = _resolve_spec(cfg)
+    if spec.k < 2:
+        raise ValidationError(f"psi needs multiplets of k >= 2 points, got k={spec.k}")
     rng = Rng(cfg["seed"])
     n = cfg["n"]
     samples = cfg["samples"]
@@ -752,11 +760,13 @@ COMMANDS: dict[str, _Command] = {
 }
 
 
-def build_parser() -> _Parser:
+def build_parser(names: Iterable[str] = COMMANDS) -> _Parser:
+    """The parser of the named subcommands, all of them by default."""
     parser = _Parser(prog="vclab", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"vclab {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
+    for name in names:
+        command = COMMANDS[name]
         sub = subs.add_parser(name, help=command.help)
         sub.add_argument("--config", help="JSON config file; flags override its values")
         for key, default in command.options.items():
@@ -768,7 +778,10 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a command named first needs only its own parser; help, --version and
+    # an unknown command see every command
+    parser = build_parser(argv[:1] if argv and argv[0] in COMMANDS else COMMANDS)
     try:
         args = parser.parse_args(argv)
         command = COMMANDS[args.command]

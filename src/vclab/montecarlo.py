@@ -56,13 +56,14 @@ diagram's crossing tables, ahead of every pair overlap's trials).  Both
 builders import `numpy.random`, which numpy loads lazily, into this
 process, so a pool forked after them starts with it loaded and no worker
 pays the import on its first trial; `import vclab` and a command that
-never samples do not load it.
+never samples do not load it.  The pool machinery (`concurrent.futures`,
+with `multiprocessing`) loads with the first pool, so a serial run never
+loads it.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterator
@@ -89,9 +90,9 @@ METHOD_EXTENSION = "extension"
 METHOD_RANDOM = "random-classifier"
 
 # Most min-norm-point solves of one extension probe: more than the prefix
-# tree of p = 22 multiplets has nodes, 3.0-3.6 min at 43-51 us per factored
-# warm-started solve (solves recorded from the workload commands at n = 3
-# and 5, 2-core Xeon).
+# tree of p = 22 multiplets has nodes.  The time per solve grows with n:
+# 58 us at n = 3 and 140 us at n = 8 (threshold walks of pairs at rho = 0.5,
+# 2-core Xeon), so the budget takes about 4-10 min.
 MAX_SOLVES = 2**22
 
 # Candidate patterns of a cell scan (`cell_scan_cost`) priced as one
@@ -247,6 +248,14 @@ class _RaceLost(Exception):
     """An extension walk ran past the solve budget of its counting race."""
 
 
+def _bit_rows(table: np.ndarray) -> list[int]:
+    """Each row of a boolean (m, m) table as one int, bit i set where the
+    row holds column i."""
+    packed = np.packbits(table, axis=1, bitorder="little")
+    raw, width = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+
+
 def _extension_nodes(
     dataset: Dataset, margin: float, budget: float = math.inf
 ) -> Iterator[tuple[int, np.ndarray]]:
@@ -255,9 +264,10 @@ def _extension_nodes(
     ``labels`` is one reused buffer.  `BudgetError` past `MAX_SOLVES` solves,
     else `_RaceLost` past ``budget`` solves."""
     p, k = dataset.p, dataset.spec.k
+    points = dataset.points
     bar = margin + TAU
     # at margin 0 an entry needs exact antipodes, which the first solve refuses
-    same, flip = _pair_conflicts(dataset.points, bar) if margin > 0 else ((), ())
+    same, flip = map(_bit_rows, _pair_conflicts(points, bar)) if margin > 0 else ((), ())
     flat = dataset.flat
     gram = _GramRows(flat)
     # the solve's tolerance scale of each prefix of the rows
@@ -268,19 +278,25 @@ def _extension_nodes(
     labels = np.empty(p, dtype=np.int8)
     solves = 0
     # (depth, sign, the parent's witness if that child is free, the final
-    # corral of the last solve on its path)
-    stack = [(0, 1, None, None)]
+    # corral of the last solve on its path, the bit set of the multiplets
+    # before it that carry +1)
+    stack = [(0, 1, None, None, 0)]
     while stack:
-        j, s, w, start = stack.pop()
+        j, s, w, start, plus = stack.pop()
         end = (j + 1) * k
         labels[j] = s
+        if s > 0:
+            plus |= 1 << j
         certified = w is not None
-        # a pair of multiplets the prefix labels in conflict: UNSAT, no solve
+        # a pair of multiplets the prefix labels in conflict: UNSAT, no solve.
+        # alike: the multiplets 0..j that carry s, j among them; the others
+        # carry -s.  Both sets stop at j, so row j is read only up to j.
         if not certified and j < len(same):
-            row = labels[: j + 1] == s
-            if (row & same[j, : j + 1]).any() or (~row[:j] & flip[j, :j]).any():
+            prefix = (2 << j) - 1
+            alike = plus if s > 0 else plus ^ prefix
+            if same[j] & alike or flip[j] & (alike ^ prefix):
                 continue
-        signed[j * k : end] = s * dataset.points[j]
+        signed[j * k : end] = points[j] if s > 0 else -points[j]
         signs[j * k : end] = (s,) * k
         if not certified:
             if solves == MAX_SOLVES:
@@ -304,11 +320,15 @@ def _extension_nodes(
         if end == p * k:
             continue
         # at most one child is free (bar > 0); it goes first, else sign +1
-        field = dataset.points[j + 1] @ w
-        first = -1 if certified and (-field).min() > bar else 1
-        free = certified and (first * field).min() > bar
-        stack.append((j + 1, -first, None, start))
-        stack.append((j + 1, first, w if free else None, start))
+        first, free = 1, False
+        if certified:
+            field = (points[j + 1] @ w).tolist()
+            if -max(field) > bar:
+                first, free = -1, True
+            else:
+                free = min(field) > bar
+        stack.append((j + 1, -first, None, start, plus))
+        stack.append((j + 1, first, w if free else None, start, plus))
 
 
 def _extension_labelings(
@@ -456,6 +476,15 @@ def _map_ordered(jobs: list, threads: int) -> Iterator:
     if workers <= 1:
         return map(_apply, jobs)
     return _pooled(jobs, workers)
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """A `concurrent.futures.ProcessPoolExecutor`, imported when the first
+    pool opens, so a run that opens none never loads the pool machinery
+    (`multiprocessing`, `logging`, `socket`)."""
+    from concurrent.futures import ProcessPoolExecutor as Executor
+
+    return Executor(max_workers=max_workers)
 
 
 def _pooled(jobs: list, workers: int) -> Iterator:

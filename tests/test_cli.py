@@ -476,6 +476,18 @@ class TestFss:
         code, _, _ = run(capsys, "fss", "--out", str(tmp_path / "x.csv"))
         assert code == 1
 
+    @pytest.mark.parametrize("dims", ["1", "50,50"])
+    def test_fewer_than_two_dimensions_is_validation_error(self, capsys, tmp_path, dims):
+        # one curve has no collapse score
+        code, out, _ = run(
+            capsys, "fss", "--rho", "0", "--n", dims, "--out", str(tmp_path / "x.csv")
+        )
+        assert code == 1
+        assert json.loads(out) == {
+            "error": "ValidationError",
+            "message": f"fss needs two distinct dimensions --n, got {dims}"}
+        assert not list(tmp_path.iterdir())
+
     def test_single_point_is_validation_error(self, capsys, tmp_path):
         code, out, _ = run(
             capsys, "fss", "--rho", "0", "--points", "1", "--out", str(tmp_path / "x.csv")
@@ -514,6 +526,29 @@ class TestPsi:
         payload = json.loads(out)
         assert payload["m"] == [2, 3]
         assert payload["stderr"][0] == 0.0
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["count", "psi"])
+    def test_rho_with_single_points_is_refused(self, capsys, tmp_path, command, where):
+        # one point per multiplet has no overlap, so --k 1 reads no --rho
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"rho": 0.5}))
+        given = ["--rho", "0.5"] if where == "flag" else ["--config", str(cfg)]
+        argv = [command, "--k", "1", *given]
+        if command == "count":
+            argv += ["--n", "3", "--alpha", "1", "--out", str(tmp_path / "x.csv")]
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert json.loads(out) == {"error": "ValidationError",
+                                   "message": "--rho needs --k >= 2, not 1"}
+        assert [path.name for path in tmp_path.iterdir()] == ["run.json"]
+
+    @pytest.mark.parametrize("extra", [[], ["--m", "2"]])
+    def test_single_points_are_refused(self, capsys, extra):
+        code, out, _ = run(capsys, "psi", "--k", "1", *extra)
+        assert code == 1
+        assert json.loads(out) == {"error": "ValidationError",
+                                   "message": "psi needs multiplets of k >= 2 points, got k=1"}
 
     @pytest.mark.parametrize("k", ["2", "3"])
     @pytest.mark.parametrize("flag", ["--n", "--samples"])
@@ -749,6 +784,35 @@ class TestOptionTable:
         listed = re.findall(r"^  (?:-h, )?(--[\w-]+)", text, re.M)
         expected = ["--help", "--config"] + [OPTIONS[k].flag for k in COMMANDS[command].options]
         assert sorted(listed) == sorted(expected)
+
+
+class TestParser:
+    def test_help_and_an_unknown_command_list_every_command(self, capsys):
+        listing = "{" + ",".join(COMMANDS) + "}"
+        with pytest.raises(SystemExit) as stop:
+            main(["--help"])
+        assert stop.value.code == 0
+        assert listing in capsys.readouterr().out
+        code, out, _ = run(capsys, "bogus")
+        assert code == 1
+        message = json.loads(out)["message"]
+        assert message.startswith("argument command: invalid choice: 'bogus'")
+        assert re.findall(r"'([\w-]+)'", message)[1:] == list(COMMANDS)
+
+    def test_a_named_command_builds_its_parser_alone(self, capsys, monkeypatch):
+        built = []
+        inner = cli.build_parser
+
+        def recording(names=COMMANDS):
+            built.append(list(names))
+            return inner(names)
+
+        monkeypatch.setattr(cli, "build_parser", recording)
+        assert run(capsys, "transition", "--rho", "0")[0] == 0
+        with pytest.raises(SystemExit):
+            main(["--version"])
+        assert run(capsys, "--rho", "0")[0] == 1
+        assert built == [["transition"], list(COMMANDS), list(COMMANDS)]
 
 
 class TestThreadsDefault:

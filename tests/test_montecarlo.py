@@ -472,6 +472,50 @@ class TestExtensionEngine:
         assert calls == [2 * 4, 2 * 30] and scans == [4, 30]
 
 
+class TestPinnedSolves:
+    """The solves of seeded walks, recorded before the walk kept its
+    bookkeeping in Python ints: a rewrite of the walk must free, refuse and
+    solve the same children, in the same order."""
+
+    def test_pair_thresholds(self, solves):
+        # (p*, solves, rows over all solves) of 3 trials per rho, n = 3, p = 81
+        pinned = {
+            0.2: [(11, 29, 336), (9, 16, 162), (7, 11, 92)],
+            0.5: [(15, 56, 954), (11, 26, 312), (8, 23, 220)],
+            0.8: [(34, 166, 4398), (28, 133, 3574), (44, 157, 4828)],
+        }
+        for i, (rho, trials) in enumerate(pinned.items()):
+            for t, expected in enumerate(trials):
+                ds = sample_dataset(StructureSpec.pairs(rho), 3, 81, Rng(91, (i, t)))
+                solves.clear()
+                assert (_threshold(ds, 0.0), len(solves), sum(solves)) == expected
+
+    def test_margin_thresholds(self, solves):
+        # k = 1 at margin 0.5, n = 3, p = 12: the pair table refuses most
+        # children here (without it these walks take 6-20 solves)
+        pinned = [(9, [1, 2, 4, 6, 7, 2, 7]), (6, [1, 2, 4, 5, 6, 6, 2]), (9, [1, 2, 3, 2, 4, 5]),
+                  (6, [1, 3, 3, 6]), (6, [1, 2, 4, 5, 2, 3, 6]), (13, [1, 3, 4, 8, 11]),
+                  (7, [1, 2, 4, 2]), (7, [1, 3, 4, 6, 7, 3])]
+        for t, (threshold, rows) in enumerate(pinned):
+            ds = sample_dataset(UNSTRUCTURED, 3, 12, Rng(92, t))
+            solves.clear()
+            assert _threshold(ds, 0.5) == threshold
+            assert solves == rows
+
+    def test_drained_pair_counts(self, solves):
+        # (count, solves, rows over all solves) of the prefixes p = 6..12 of
+        # one pair sequence at rho = 0.5, n = 5, each won by the engine
+        pinned = [(38, 45, 448), (34, 71, 812), (48, 89, 1100), (44, 126, 1766),
+                  (42, 150, 2246), (40, 177, 2840), (32, 205, 3512)]
+        ds = sample_dataset(PAIRS_HALF, 5, 12, Rng(93))
+        for p, expected in zip(range(6, 13), pinned):
+            prefix = Dataset(spec=PAIRS_HALF, n=5, p=p, points=ds.points[:p])
+            solves.clear()
+            probe = count_admissible_dichotomies(prefix)
+            assert probe.method == "extension"
+            assert (probe.count, len(solves), sum(solves)) == expected
+
+
 def factored_solve(points: np.ndarray, signs: np.ndarray, start: Corral | None = None):
     """`min_norm_corral` on the factored path over the signed rows, reading
     the Gram rows of the unsigned points, as the extension walk does."""
@@ -1336,6 +1380,40 @@ print(json.dumps(loaded))
         assert len(results) == jobs
         assert all(loaded for loaded, _ in results)
         assert parent not in {pid for _, pid in results}
+
+
+class TestLazyPool:
+    def test_a_serial_run_never_loads_the_pool_machinery(self, tmp_path):
+        # a fresh interpreter: a --threads 1 scan loads neither
+        # concurrent.futures nor multiprocessing; a --threads 2 scan then
+        # opens one pool and writes the same bytes
+        code = f"""
+import json, sys
+import vclab.cli
+from vclab import montecarlo
+
+def loaded():
+    return [name in sys.modules for name in ("concurrent.futures", "multiprocessing")]
+
+def scan(threads):
+    out = {str(tmp_path)!r} + f"/mc{{threads}}.csv"
+    assert vclab.cli.main(["mc", "--rho", "0.5", "--alpha", "1,2,3", "--trials", "4",
+                           "--threads", str(threads), "--out", out]) == 0
+    return open(out).read()
+
+serial = scan(1)
+after_serial = loaded()
+pools = []
+inner = montecarlo.ProcessPoolExecutor
+
+def counting(*args, **kwargs):
+    pools.append(kwargs)
+    return inner(*args, **kwargs)
+
+montecarlo.ProcessPoolExecutor = counting
+print(json.dumps([after_serial, scan(2) == serial, pools, loaded()]))
+"""
+        assert fresh_python(code) == [[False, False], True, [{"max_workers": 2}], [True, True]]
 
 
 class TestCrossover:
