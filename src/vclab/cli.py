@@ -137,10 +137,13 @@ def _parse_pairs(text: str) -> list[tuple[int, ...]]:
 
 
 def _resolve_spec(cfg: dict) -> StructureSpec:
-    if cfg.get("spec") is not None:
-        return StructureSpec.from_json(cfg["spec"])
     k = cfg.get("k")
     rho = cfg.get("rho")
+    if cfg.get("spec") is not None:
+        # a full spec sets both knobs, so either one beside it goes unread
+        if k is not None or rho is not None:
+            raise ValidationError("a config 'spec' sets the structure: give no --k or --rho with it")
+        return StructureSpec.from_json(cfg["spec"])
     if k is None and rho is not None:
         k = 2
     if k is None:

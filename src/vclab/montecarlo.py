@@ -11,35 +11,22 @@ q < p*.
   sigma_1 = +1, one multiplet at a time; the cost is their number, not 2^p.
   `_threshold` reads p* off one walk, the only exact SAT decision: it stops
   at the first leaf (p* = p + 1), else its deepest node has depth p* - 2.
-  Draining the leaves, each with -sigma, counts.  Each node carries a unit
-  witness w; a child whose new points all clear margin + TAU along w needs
-  no solve.  At a positive margin a pair table, built once per walk,
-  refuses a child two of whose signed points span a segment nearer the
-  origin than margin + TAU by 1e-12 (that segment's margin bounds the whole
-  set's).  Any other child costs one min-norm-point solve, warm-started
-  from the final corral of the last solve on its path, whose rows begin its
-  own, and from that corral's Cholesky factor; the solve reads the signed
-  entries of the Gram matrix of the kp points, whose rows the walk
-  computes when they are first read.  Refused past `MAX_SOLVES` solves.
+  Draining the leaves, each with -sigma, counts, and is the only count
+  below full rank.  Each node carries a unit witness w; a child whose new
+  points all clear margin + TAU along w needs no solve.  At a positive
+  margin a pair table, built once per walk, refuses a child two of whose
+  signed points span a segment nearer the origin than margin + TAU by
+  1e-12 (that segment's margin bounds the whole set's).  Any other child
+  costs one min-norm-point solve, warm-started from the final corral of
+  the last solve on its path, whose rows begin its own, and from that
+  corral's Cholesky factor; the solve reads the signed entries of the Gram
+  matrix of the kp points, whose rows the walk computes when they are
+  first read.  Refused past `MAX_SOLVES` solves.
 * ``full-rank``: kp independent points realize every labeling; the count
   is 2^p with no search (margin 0 only).
-* ``cells`` (margin-0 counts only): read the labelings off the cells of the
-  central hyperplane arrangement of the kp points, exact at any effective
-  rank r within the cell budget; the scan grows like (kp)^(r-1) 2^r, so it
-  beats the walk on large counts at small n.
 * `random_classifier_probe`: sample random directions and read off the
   labelings they induce; a lower bound on the count and a SAT witness
   finder, with no UNSAT certificate.
-
-The data alone picks the counting backend.  A positive margin always takes
-the extension engine.  At margin 0, below full rank, the engine races the
-cell scan: it is drained under a budget of the scan's price in solves
-(`cell_scan_cost` of the distinct hyperplanes over `CELLS_PER_SOLVE`, inf
-past the cell budget), and if it runs past that budget its partial count is
-dropped and cells count.  A count then costs at most about twice the
-cheaper backend, with no model of the engine's worst case; the budget
-counts solves, not seconds, so a dataset takes the same backend on every
-run and machine.
 
 A trial is one multiplet sequence from its (master seed, trial index)
 stream; load p reads its first p multiplets, which are the draw of p alone.
@@ -70,22 +57,16 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, DimensionError, ValidationError
 from .numerics import Rng
-from .separability import (
-    TAU,
-    cell_scan_cost,
-    dedupe_directions,
-    max_margin,
-    min_norm_corral,
-    numerical_rank,
-    sign_pattern_blocks,
-)
+from .separability import TAU, min_norm_corral, numerical_rank
+from .separability import dedupe_directions  # noqa: F401  (a traced name of bench/spans.py)
+from .separability import max_margin  # noqa: F401  (a traced name of bench/spans.py)
+from .separability import sign_pattern_blocks  # noqa: F401  (a traced name of bench/spans.py)
 from .structure import StructureSpec, sample_multiplets
 from .structure import sample_multiplet  # noqa: F401  (a traced name of bench/spans.py)
 
 METHOD_FULL_RANK = "full-rank"
-METHOD_CELLS = "cells"
 METHOD_EXTENSION = "extension"
 METHOD_RANDOM = "random-classifier"
 
@@ -94,15 +75,6 @@ METHOD_RANDOM = "random-classifier"
 # 58 us at n = 3 and 140 us at n = 8 (threshold walks of pairs at rho = 0.5,
 # 2-core Xeon), so the budget takes about 4-10 min.
 MAX_SOLVES = 2**22
-
-# Candidate patterns of a cell scan (`cell_scan_cost`) priced as one
-# warm-started solve of the extension engine: a margin-0 counting race gives
-# the engine the scan's price in solves.  Measured on a 2-core Xeon, best of
-# 3, drained margin-0 counts: a solve took 0.05-0.16 ms and a candidate
-# 0.24-2.1 us, ratio 29-111 where cells win (k=1 at n = 3-4, p = 15-60;
-# pairs at n = 3) and 205-535 where the engine wins (pairs at n = 5-6).  Above
-# the first range, a lost race wastes at most about one scan's time.
-CELLS_PER_SOLVE = 150
 
 _ENUMERATE = "enumerate"  # trial probe tag: the exact SAT decision
 _COUNT = "count"  # trial probe tag: full exact count instead of a SAT decision
@@ -172,38 +144,6 @@ def sample_dataset(spec: StructureSpec, n: int, p: int, rng: Rng | np.random.Gen
     return Dataset(spec=spec, n=n, p=p, points=sample_multiplets(spec, n, p, rng))
 
 
-def _cells_labelings(dataset: Dataset, directions: tuple) -> Iterator[np.ndarray]:
-    """Yield each admissible labeling realizable at margin 0 once, read off
-    the cells of the arrangement of the kp points.
-
-    ``directions`` is `dedupe_directions` of these points.  Degenerate-edge
-    candidates are verified with `max_margin`; on generic data the cell
-    patterns are exact as-is.
-    """
-    flat = dataset.flat
-    p, k = dataset.p, dataset.spec.k
-    reps, idx, sgn = directions
-    seen: set[bytes] = set()
-    for block, verify in sign_pattern_blocks(reps):
-        full = block[:, idx] * sgn[None, :]
-        grouped = full.reshape(-1, p, k)
-        consistent = np.all(grouped == grouped[:, :, :1], axis=(1, 2))
-        if not consistent.any():
-            continue
-        rows = np.ascontiguousarray(grouped[consistent, :, 0])
-        flags = verify[consistent]
-        # one bytes key per row, from one call; the first occurrence of a
-        # row in scan order decides, with its verify flag
-        keys = rows.view(np.dtype((np.void, rows.itemsize * p))).ravel().tolist()
-        for i, key in enumerate(keys):
-            if key in seen:
-                continue
-            seen.add(key)
-            if flags[i] and max_margin(flat, np.repeat(rows[i], k)) <= TAU:
-                continue
-            yield rows[i]
-
-
 def _pair_conflicts(points: np.ndarray, bar: float) -> tuple[np.ndarray, np.ndarray]:
     """Two (m, m) tables over the first m = min(p, _PAIR_ROWS // k)
     multiplets: ``same[i, j]`` when multiplets i and j cannot carry equal
@@ -244,10 +184,6 @@ class _GramRows(dict):
         return row
 
 
-class _RaceLost(Exception):
-    """An extension walk ran past the solve budget of its counting race."""
-
-
 def _bit_rows(table: np.ndarray) -> list[int]:
     """Each row of a boolean (m, m) table as one int, bit i set where the
     row holds column i."""
@@ -256,13 +192,10 @@ def _bit_rows(table: np.ndarray) -> list[int]:
     return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
 
 
-def _extension_nodes(
-    dataset: Dataset, margin: float, budget: float = math.inf
-) -> Iterator[tuple[int, np.ndarray]]:
+def _extension_nodes(dataset: Dataset, margin: float) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (depth j, labels) once for each prefix labeling ``labels[: j + 1]``
     realizable above the margin, depth first (see the module docstring);
-    ``labels`` is one reused buffer.  `BudgetError` past `MAX_SOLVES` solves,
-    else `_RaceLost` past ``budget`` solves."""
+    ``labels`` is one reused buffer.  `BudgetError` past `MAX_SOLVES` solves."""
     p, k = dataset.p, dataset.spec.k
     points = dataset.points
     bar = margin + TAU
@@ -304,8 +237,6 @@ def _extension_nodes(
                     f"extension search exceeds its budget of {MAX_SOLVES} margin solves; "
                     "use the random-classifier probe, which has no budget"
                 )
-            if solves + 1 > budget:
-                raise _RaceLost
             solves += 1
             # warm start: the rows of the last solve on this path begin these
             d, start = min_norm_corral(signed[:end], start, gram, signs, scales[end - 1], bar)
@@ -331,12 +262,10 @@ def _extension_nodes(
         stack.append((j + 1, first, w if free else None, start, plus))
 
 
-def _extension_labelings(
-    dataset: Dataset, margin: float, budget: float = math.inf
-) -> Iterator[np.ndarray]:
+def _extension_labelings(dataset: Dataset, margin: float) -> Iterator[np.ndarray]:
     """Yield each admissible labeling realizable above the margin once: the
     leaves of the extension walk, each with its negation."""
-    for j, labels in _extension_nodes(dataset, margin, budget):
+    for j, labels in _extension_nodes(dataset, margin):
         if j == dataset.p - 1:
             yield labels.copy()
             yield -labels
@@ -357,29 +286,19 @@ def _threshold(dataset: Dataset, margin: float) -> int:
 def count_admissible_dichotomies(dataset: Dataset, margin: float = 0.0) -> SatProbe:
     """Exact number of admissible labelings realizable above the margin.
 
-    The extension engine at a positive margin; at margin 0 the full-rank
-    shortcut when the kp points are linearly independent, else a race of
-    the engine against the cell scan, as the module docstring says.
-    `BudgetError` past the budget of the backend that counts.
+    At margin 0 the full-rank shortcut when the kp points are linearly
+    independent; else the drained extension engine.  `BudgetError` past
+    `MAX_SOLVES` solves.
     """
     if margin < 0:
         raise ValidationError("margin must be >= 0")
-    budget = math.inf
     if margin == 0.0:
         flat = dataset.flat
         rank = numerical_rank(np.linalg.svd(flat, compute_uv=False), flat.shape)
         if rank == flat.shape[0]:
             return SatProbe(count=2**dataset.p, sat=True, enumerated=True, method=METHOD_FULL_RANK)
-        # the scan's price in solves (inf past the cell budget)
-        directions = dedupe_directions(flat)
-        budget = cell_scan_cost(len(directions[0]), rank) / CELLS_PER_SOLVE
-    try:
-        count = sum(1 for _ in _extension_labelings(dataset, margin, budget))
-        method = METHOD_EXTENSION
-    except _RaceLost:
-        count = sum(1 for _ in _cells_labelings(dataset, directions))
-        method = METHOD_CELLS
-    return SatProbe(count=count, sat=count > 0, enumerated=True, method=method)
+    count = sum(1 for _ in _extension_labelings(dataset, margin))
+    return SatProbe(count=count, sat=count > 0, enumerated=True, method=METHOD_EXTENSION)
 
 
 def admissible_exists(dataset: Dataset, margin: float = 0.0) -> SatProbe:
@@ -527,7 +446,9 @@ def count_jobs(
     order.  Every argument is checked here, before any job runs."""
     if trials < 2:
         raise ValidationError("need at least 2 trials for a standard error")
-    for _, loads, _ in dims:
+    for n, loads, _ in dims:
+        if n < spec.k:
+            raise DimensionError(f"need n >= k, got n={n}, k={spec.k}")
         if not loads or min(loads) < 1:
             raise ValidationError(f"need a non-empty list of loads p >= 1, got {loads}")
     distinct = [list(dict.fromkeys(loads)) for _, loads, _ in dims]
@@ -589,6 +510,9 @@ def scan_jobs(
         raise ValidationError("margin must be >= 0")
     if not alpha_grid:
         raise ValidationError("alpha grid must be nonempty")
+    for spec, _ in scans:
+        if n < spec.k:
+            raise DimensionError(f"need n >= k, got n={n}, k={spec.k}")
     for alpha in alpha_grid:
         if not math.isfinite(alpha):
             raise ValidationError(f"alpha={alpha} is not finite")

@@ -1,6 +1,6 @@
 """Exact linear-separability decisions and hard-margin values.
 
-Two exact tools, used by `vclab.montecarlo`:
+Two exact tools:
 
 * `max_margin` solves the homogeneous hard-margin problem
   max_{|w|=1} min_i sigma_i (w . xi_i) through its dual: the optimum equals
@@ -9,16 +9,17 @@ Two exact tools, used by `vclab.montecarlo`:
   value certifies strict separability (the optimal w is the normalized
   hull point); when the origin lies in the hull the problem value is <= 0
   and 0.0 is returned (strictness is decided by the tolerance TAU, so the
-  exact nonpositive depth is never needed).  The extension engine, which
-  makes every SAT/UNSAT decision, calls its warm-startable core
-  `min_norm_corral` once per labeling it cannot certify for free.  There
-  each affine minimizer over the corral C comes from the Cholesky factor
-  of G_CC + 11^T (G the Gram matrix of the signed points), which the solve
-  carries in its warm start: a row added to the corral appends a row to
-  the factor, and a dropped one is a Givens downdate of the rows after it.
-  The bordered linear system, solved afresh, stays as the fallback for an
-  affinely dependent row, as the tie-breaker of a |d| at the decision's
-  bar, and as the whole solve of `max_margin` and `min_norm_point`.
+  exact nonpositive depth is never needed).  The extension engine of
+  `vclab.montecarlo`, which makes every SAT/UNSAT decision and every count
+  below full rank, calls its warm-startable core `min_norm_corral` once per
+  labeling it cannot certify for free.  There each affine minimizer over
+  the corral C comes from the Cholesky factor of G_CC + 11^T (G the Gram
+  matrix of the signed points), which the solve carries in its warm start:
+  a row added to the corral appends a row to the factor, and a dropped one
+  is a Givens downdate of the rows after it.  The bordered linear system,
+  solved afresh, stays as the fallback for an affinely dependent row, as
+  the tie-breaker of a |d| at the decision's bar, and as the whole solve of
+  `max_margin` and `min_norm_point`.
 
 * `sign_pattern_blocks` enumerates every sign vector realizable by some
   direction w, i.e. the cells of the central hyperplane arrangement whose
@@ -26,11 +27,20 @@ Two exact tools, used by `vclab.montecarlo`:
   rank-r arrangement is pointed, hence adjacent to an edge spanned by some
   r-1 of the normals; perturbing along each edge direction reaches all
   2^(r-1) cells around it, so scanning the (r-1)-subsets reaches every
-  cell.  Cost grows like m^(r-1) 2^r.  It only counts, at margin 0, after
-  the extension engine runs past the scan's price in solves
-  (`cell_scan_cost`); `max_margin` verifies its degenerate-edge candidates.
+  cell.  Cost grows like m^(r-1) 2^r (`cell_scan_cost`); `max_margin`
+  verifies its degenerate-edge candidates.
 
-The test suite checks each against the other.
+No program path calls the scan or its helpers (`dedupe_directions`,
+`_null_directions`, `cell_scan_cost`).  They stay for two reasons.  The
+benchmark's tracer, `bench/spans.py`, patches `sign_pattern_blocks`,
+`dedupe_directions` and `max_margin` in `vclab.montecarlo`, and
+`tests/test_bench_names.py` requires those names to resolve; they go
+together with the tracer's names.  And the scan is the tests' only margin-0
+oracle that does not depend on the extension engine and still reaches
+p = 20-30 multiplets, where the sign-vector oracle would need 2^(p-1)
+solves.
+
+The test suite checks each tool against the other.
 """
 
 from __future__ import annotations

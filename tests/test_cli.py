@@ -265,8 +265,9 @@ class TestMc:
         assert not (tmp_path / "x.csv").exists()
 
     def test_budget_exit_code_and_hint(self, capsys, tmp_path, monkeypatch):
-        # past the cell budget at margin 0, and at a margin: the first trials
-        # need 140 and 3 extension-engine solves, so a budget of 2 refuses both
+        # pairs at n = 10 at margin 0, and k=1 points at a margin: the first
+        # trials need 140 and 3 extension-engine solves, so a budget of 2
+        # refuses both
         monkeypatch.setattr("vclab.montecarlo.MAX_SOLVES", 2)
         for load in (
             ("--mode", "pairs", "--rho", "0.5", "--n", "10", "--alpha", "2.4", "--trials", "2"),
@@ -413,6 +414,24 @@ class TestPhaseDiagram:
         assert "layers" in payload["message"]
         assert not list(tmp_path.iterdir())
 
+    def test_mc_dimension_below_the_pair_size_is_refused_before_any_file(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # the pairs of the mc layer need --mc-n >= 2: refused before the
+        # threshold files are written or a pool is opened
+        def no_pool(max_workers):
+            raise AssertionError("a pool was opened")
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+        code, out, _ = run(
+            capsys, "phase-diagram", "--rho", "0.5", "--mc-n", "1", "--trials", "2",
+            "--alpha", "1,2", "--threads", "2", "--out", str(tmp_path / "ph"),
+        )
+        assert code == 1
+        assert json.loads(out) == {"error": "DimensionError",
+                                   "message": "need n >= k, got n=1, k=2"}
+        assert not list(tmp_path.iterdir())
+
 
 # Each command that writes files, the option that names one, and a short run.
 OUTPUTS = [
@@ -542,6 +561,24 @@ class TestPsi:
         assert json.loads(out) == {"error": "ValidationError",
                                    "message": "--rho needs --k >= 2, not 1"}
         assert [path.name for path in tmp_path.iterdir()] == ["run.json"]
+
+    @pytest.mark.parametrize("knobs", [["--k", "3"], ["--rho", "0.9"], ["--k", "3", "--rho", "0.9"]])
+    @pytest.mark.parametrize("command", ["count", "psi"])
+    def test_knobs_beside_a_config_spec_are_refused(self, capsys, tmp_path, command, knobs):
+        # a full spec sets k and rho, so a flag for either would go unread
+        cfg = tmp_path / "spec.json"
+        cfg.write_text(json.dumps({"spec": {"k": 2, "rho": 0.5}}))
+        rest = ["--n", "3", "--alpha", "1", "--out", str(tmp_path / "x.csv")]
+        argv = [command, "--config", str(cfg), *(rest if command == "count" else [])]
+        code, out, _ = run(capsys, *argv, *knobs)
+        assert code == 1
+        assert json.loads(out) == {
+            "error": "ValidationError",
+            "message": "a config 'spec' sets the structure: give no --k or --rho with it",
+        }
+        assert [path.name for path in tmp_path.iterdir()] == ["spec.json"]
+        # the spec alone runs
+        assert run(capsys, *argv)[0] == 0
 
     @pytest.mark.parametrize("extra", [[], ["--m", "2"]])
     def test_single_points_are_refused(self, capsys, extra):

@@ -12,6 +12,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from cell_oracle import cells_labelings
 from vclab import cli, montecarlo
 from vclab.cli import main
 from vclab.errors import BudgetError, DimensionError, ValidationError
@@ -19,7 +20,6 @@ from vclab.montecarlo import (
     Dataset,
     PhasePoint,
     SatProbe,
-    _cells_labelings,
     _extension_labelings,
     _pair_conflicts,
     _threshold,
@@ -40,11 +40,9 @@ from vclab.separability import (
     TAU,
     Corral,
     _affine_minimizer,
-    cell_scan_cost,
     dedupe_directions,
     max_margin,
     min_norm_corral,
-    numerical_rank,
 )
 from vclab.structure import StructureSpec, psi2, sample_multiplet, theta_coefficients
 
@@ -59,12 +57,6 @@ def seed_matched_pair_dataset(rho: float, n: int, p: int, rng: Rng) -> Dataset:
     gen = rng.generator()
     pts = np.stack([sample_multiplet(spec, n, gen) for _ in range(p)])
     return Dataset(spec=spec, n=n, p=p, points=pts)
-
-
-def cells_labelings(dataset: Dataset, margin: float = 0.0):
-    """The cell scan of the whole dataset (margin 0 only)."""
-    assert margin == 0.0
-    return _cells_labelings(dataset, dedupe_directions(dataset.flat))
 
 
 def cold_min_norm_point(points: np.ndarray) -> np.ndarray:
@@ -319,8 +311,8 @@ class TestCounting:
         )
 
     def test_budget_error(self, monkeypatch, solves):
-        # pairs past the cell budget at p = 24: the engine decides SAT in 11
-        # solves, and refuses the decision with one solve fewer
+        # pairs at n = 10, p = 24: the engine decides SAT in 11 solves, and
+        # refuses the decision with one solve fewer
         ds = sample_dataset(PAIRS_HALF, 10, 24, Rng(18))
         assert admissible_exists(ds) == SatProbe(1, True, False, "extension")
         assert len(solves) == 11
@@ -341,25 +333,24 @@ class TestCounting:
 
     @pytest.mark.parametrize(
         "spec, n, p, margin, method",
-        # the race at margin 0: cells when the engine needs more solves than
-        # the scan's price buys, here from under one solve at p = 2 and 9
-        [(PAIRS_HALF, 3, p, 0.0, "cells") for p in (2, 9)]
-        + [(PAIRS_HALF, 3, 81, 0.0, "extension")]  # UNSAT within the budget
+        # below full rank the engine counts at every margin
+        [(PAIRS_HALF, 3, p, 0.0, "extension") for p in (2, 9)]
+        + [(PAIRS_HALF, 3, 81, 0.0, "extension")]  # UNSAT
         + [(UNSTRUCTURED, 3, 8, 0.5, "extension")]  # any positive margin
         + [(PAIRS_HALF, 5, p, 0.0, "extension") for p in (6, 12, 25)]  # few labelings
         + [
             (PAIRS_HALF, 8, 10, 0.0, "extension"),
-            (PAIRS_HALF, 7, 20, 0.0, "extension"),  # cells exceed their budget
+            (PAIRS_HALF, 7, 20, 0.0, "extension"),
             (UNSTRUCTURED, 5, 8, 0.5, "extension"),  # any positive margin
         ]
-        # coincident pairs, priced on the distinct points, have large counts;
-        # antipodal pairs are UNSAT at the first solve
+        # coincident pairs, k=1 points, have large counts; antipodal pairs
+        # are UNSAT at the first solve
         + [
-            (StructureSpec.pairs(1.0), 7, 12, 0.0, "cells"),
-            (StructureSpec.pairs(1.0), 6, 10, 0.0, "cells"),
+            (StructureSpec.pairs(1.0), 7, 12, 0.0, "extension"),
+            (StructureSpec.pairs(1.0), 6, 10, 0.0, "extension"),
             (StructureSpec.pairs(-1.0), 6, 10, 0.0, "extension"),
         ]
-        + [(UNSTRUCTURED, 3, 60, 0.0, "cells")],  # 3,542 labelings, 47 solves' budget
+        + [(UNSTRUCTURED, 3, 60, 0.0, "extension")],  # 3,542 labelings
     )
     def test_auto_backend_choice(self, spec, n, p, margin, method):
         ds = sample_dataset(spec, n, p, Rng(20, (n, p)))
@@ -465,11 +456,10 @@ class TestExtensionEngine:
         for ds, sat in zip(datasets, (True, False)):
             assert admissible_exists(ds) == SatProbe(int(sat), sat, not sat, "extension")
         assert calls == [] and scans == []
-        # a count dedupes once to price its race, and both races are lost
-        # (the UNSAT walk at p = 30 needs more than its 47 solves)
+        # nor do counts: the engine counts below full rank
         methods = [count_admissible_dichotomies(ds).method for ds in datasets]
-        assert methods == ["cells", "cells"]
-        assert calls == [2 * 4, 2 * 30] and scans == [4, 30]
+        assert methods == ["extension", "extension"]
+        assert calls == [] and scans == []
 
 
 class TestPinnedSolves:
@@ -692,14 +682,18 @@ def antipodal_pairs(n: int, p: int, seed: int) -> Dataset:
 
 @pytest.fixture
 def scans(monkeypatch):
-    """Record the number of multiplets of every cell scan."""
+    """Record the number of hyperplanes of every cell scan the program
+    makes; the tests' oracle holds its own `sign_pattern_blocks`, so its
+    scans are not recorded."""
     seen = []
+    real = separability.sign_pattern_blocks
 
-    def recording(dataset, directions):
-        seen.append(dataset.p)
-        return _cells_labelings(dataset, directions)
+    def recording(points):
+        seen.append(len(points))
+        return real(points)
 
-    monkeypatch.setattr("vclab.montecarlo._cells_labelings", recording)
+    for module in ("vclab.montecarlo", "vclab.separability"):
+        monkeypatch.setattr(f"{module}.sign_pattern_blocks", recording)
     return seen
 
 
@@ -727,18 +721,17 @@ def first_unsat_prefix(dataset: Dataset, margin: float) -> int:
     return dataset.p + 1
 
 
-def race_budget(dataset: Dataset) -> float:
-    """The solves a margin-0 count gives the extension engine: the price of
-    the cell scan of the distinct points over `CELLS_PER_SOLVE`."""
-    flat = dataset.flat
-    rank = numerical_rank(np.linalg.svd(flat, compute_uv=False), flat.shape)
-    return cell_scan_cost(len(dedupe_directions(flat)[0]), rank) / montecarlo.CELLS_PER_SOLVE
+def duplicate_antipodal_points(n: int) -> Dataset:
+    """k=1 data in R^n: 2n + 3 points, then a repeat of one of them and the
+    antipodes of two, one of which is the repeated point."""
+    pts = rank_r_points(n, n, 2 * n + 3, (n, 3))
+    return points_dataset(np.vstack([pts, pts[1], -pts[3], -pts[1]]))
 
 
 class TestCountingRace:
     def test_race_matches_both_forced_backends(self):
-        # the race's count against the drained cell scan and the drained
-        # engine, both forced, on degenerate inputs too
+        # the count against the drained cell scan and the drained engine, on
+        # degenerate inputs too
         datasets = [
             sample_dataset(StructureSpec.pairs(rho), n, p, Rng(74, (i, n, p)))
             for i, rho in enumerate((-1.0, -0.5, 0.0, 0.5, 0.8, 1.0))
@@ -749,17 +742,13 @@ class TestCountingRace:
         datasets.append(sample_dataset(StructureSpec.equicorrelated(3, 0.2), 4, 8, Rng(76)))
         for n in (3, 4, 5):
             # duplicate and antipodal points, and a rank drop into R^(n+1)
-            pts = rank_r_points(n, n, 2 * n + 3, (n, 3))
-            datasets.append(points_dataset(np.vstack([pts, pts[1], -pts[3], -pts[1]])))
+            datasets.append(duplicate_antipodal_points(n))
             datasets.append(points_dataset(rank_r_points(n + 1, n, 2 * n + 4, (n, 4))))
-        methods = Counter()
         for i, ds in enumerate(datasets):
             cells = drained(cells_labelings, ds, 0.0)
             assert drained(_extension_labelings, ds, 0.0) == cells, i
             probe = count_admissible_dichotomies(ds)
-            assert probe == SatProbe(len(cells), bool(cells), True, probe.method), i
-            methods[probe.method] += 1
-        assert methods["cells"] >= 5 and methods["extension"] >= 5
+            assert probe == SatProbe(len(cells), bool(cells), True, "extension"), i
 
     def test_few_labelings_are_counted_by_the_engine(self, scans, solves):
         # a dataset of the n = 5 pairs counting workload: a few hundred
@@ -769,22 +758,44 @@ class TestCountingRace:
         scans.clear()
         assert count_admissible_dichotomies(ds) == SatProbe(count, True, True, "extension")
         assert scans == []
-        assert 0 < len(solves) <= race_budget(ds) / 3
+        assert len(solves) > 0
 
-    def test_large_count_overflows_to_cells(self, monkeypatch, scans, solves):
-        # k = 1 at n = 3, p = 60: 3,542 labelings take tens of thousands of solves,
-        # so the engine stops at its budget and cells count
+    def test_large_k1_count_takes_the_engine(self, monkeypatch, scans, solves):
+        # k = 1 at n = 3, p = 60: Cover's 3,542 labelings, drained by the
+        # engine in tens of thousands of solves
         ds = sample_dataset(UNSTRUCTURED, 3, 60, Rng(78))
         probe = count_admissible_dichotomies(ds)
-        assert probe == SatProbe(cover_count_exact(3, 60), True, True, "cells")
-        assert race_budget(ds) == cell_scan_cost(60, 3) / montecarlo.CELLS_PER_SOLVE
-        assert len(solves) == math.floor(race_budget(ds))
-        assert scans == [60]
-        # `MAX_SOLVES` below the race budget still refuses the count
+        assert probe == SatProbe(cover_count_exact(3, 60), True, True, "extension")
+        assert len(solves) > 10_000
+        assert scans == []
+        # `MAX_SOLVES` refuses the count, with the probe that has no budget
         monkeypatch.setattr("vclab.montecarlo.MAX_SOLVES", 10)
         with pytest.raises(BudgetError, match="random-classifier probe"):
             count_admissible_dichotomies(ds)
-        assert scans == [60]
+        assert scans == []
+
+
+class TestNoCellScan:
+    def test_counts_and_decisions_scan_no_cells(self, monkeypatch):
+        # large counts of k=1 points at p = 60 and of coincident pairs, which
+        # are k=1 points too, against Cover's formula; the duplicate and
+        # antipodal points of the differential sweep against the cell oracle
+        cases = [(sample_dataset(UNSTRUCTURED, 2, 60, Rng(78)), cover_count_exact(2, 60))]
+        cases += [(sample_dataset(StructureSpec.pairs(1.0), n, p, Rng(20, (n, p))),
+                   cover_count_exact(n, p)) for n, p in ((6, 10), (7, 12))]
+        cases += [(ds, len(list(cells_labelings(ds))))
+                  for ds in map(duplicate_antipodal_points, (3, 4, 5))]
+
+        def refused(*args):
+            raise AssertionError("the program called a cell-scan primitive")
+
+        for module in ("vclab.montecarlo", "vclab.separability"):
+            for name in ("sign_pattern_blocks", "dedupe_directions"):
+                monkeypatch.setattr(f"{module}.{name}", refused)
+        for ds, count in cases:
+            sat = count > 0
+            assert count_admissible_dichotomies(ds) == SatProbe(count, sat, True, "extension")
+            assert admissible_exists(ds) == SatProbe(int(sat), sat, not sat, "extension")
 
 
 class TestPrefixCertificate:
@@ -817,10 +828,9 @@ class TestPrefixCertificate:
         # all-SAT datasets, and UNSAT ones past their second multiplet, both occur
         assert outcomes[True, True] >= 3 and outcomes[False, True] >= 20
 
-    def test_decisions_and_counts_match_full_set_scan(self, solves):
+    def test_decisions_and_counts_match_full_set_scan(self):
         # the whole-dataset cell scan at margin 0, or the sign-vector oracle
-        # above it, is the oracle for both the decision and the exact count;
-        # at margin 0 the engine counts within the race's budget, else cells do
+        # above it, is the oracle for both the decision and the exact count
         cases = [
             (StructureSpec.pairs(rho), 3, p, 0.0)
             for rho in (-1.0, -0.5, 0.0, 0.5, 0.8, 1.0)
@@ -839,20 +849,13 @@ class TestPrefixCertificate:
                 assert admissible_exists(ds, margin=margin) == SatProbe(
                     int(sat), sat, not sat, "extension"
                 )
-                solves.clear()
                 probe = count_admissible_dichotomies(ds, margin=margin)
-                assert probe == SatProbe(count, sat, True, probe.method)
-                if margin > 0:
-                    assert probe.method == "extension"
-                elif probe.method == "extension":
-                    assert len(solves) <= race_budget(ds)
-                else:  # the walk stopped at its budget
-                    assert len(solves) == math.floor(race_budget(ds))
-                outcomes[probe.method, sat] += 1
-        assert min(outcomes.values()) >= 2 and len(outcomes) == 4
+                assert probe == SatProbe(count, sat, True, "extension")
+                outcomes[sat] += 1
+        assert min(outcomes.values()) >= 2 and len(outcomes) == 2
 
     def test_unsat_cells_count_needs_no_scan(self, scans, solves):
-        # the race's walk certifies UNSAT at the first solve, within its budget
+        # the walk certifies UNSAT at the first solve
         ds = antipodal_pairs(3, 20, 62)
         assert count_admissible_dichotomies(ds) == SatProbe(0, False, True, "extension")
         assert scans == []
@@ -865,14 +868,15 @@ class TestPrefixCertificate:
         assert count_admissible_dichotomies(ds) == SatProbe(0, False, True, "extension")
         assert solves == [2, 2]
 
-    def test_sat_cells_count_scans_the_full_set_once(self, scans):
+    def test_sat_coincident_pairs_count_makes_no_scan(self, scans):
         ds = sample_dataset(StructureSpec.pairs(1.0), 3, 20, Rng(63))
-        assert count_admissible_dichotomies(ds).count == cover_count_exact(3, 20)
-        assert scans == [20]
+        probe = count_admissible_dichotomies(ds)
+        assert probe == SatProbe(cover_count_exact(3, 20), True, True, "extension")
+        assert scans == []
 
     def test_budget_errors_unchanged(self, monkeypatch):
-        # past the cell budget at p > 22 the engine decides what the cell scan
-        # refuses (a SAT dataset, whose first 8 multiplets are SAT too)
+        # at p > 22 the engine decides a SAT dataset (whose first 8
+        # multiplets are SAT too) within its solves
         pairs = sample_dataset(PAIRS_HALF, 9, 24, Rng(65))
         prefix = Dataset(spec=pairs.spec, n=pairs.n, p=8, points=pairs.points[:8])
         assert admissible_exists(prefix).sat
@@ -1157,6 +1161,14 @@ class TestSatFractionScan:
         for probe in montecarlo.PROBES:
             with pytest.raises(ValidationError, match="margin must be >= 0"):
                 sat_fraction_scan(UNSTRUCTURED, 3, [1.0], 10, Rng(0), margin=-1.0, probe=probe)
+
+    def test_dimension_below_the_multiplet_size_is_refused_before_any_job(self):
+        # the job builders refuse it before any job runs
+        with pytest.raises(DimensionError, match="need n >= k, got n=1, k=2"):
+            montecarlo.scan_jobs([(UNSTRUCTURED, Rng(0)), (PAIRS_HALF, Rng(1))], 1, [2.0], 2)
+        triplets = StructureSpec.equicorrelated(3, 0.2)
+        with pytest.raises(DimensionError, match="need n >= k, got n=2, k=3"):
+            montecarlo.count_jobs(triplets, [(3, [3], Rng(0)), (2, [2], Rng(1))], 2)
 
     def test_threads_match_serial(self):
         a = sat_fraction_scan(PAIRS_HALF, 3, [2, 4], 16, Rng(55), threads=1)

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from cell_oracle import cells_labelings
 from vclab.errors import BudgetError, ValidationError
-from vclab.montecarlo import Dataset, _cells_labelings, sample_dataset
+from vclab.montecarlo import Dataset, sample_dataset
 from vclab.numerics import Rng
 from vclab.recursion import cover_count_exact
 from vclab.separability import (
@@ -32,7 +33,7 @@ def realizable_sign_patterns(points: np.ndarray) -> np.ndarray:
     data = Dataset(
         spec=StructureSpec.unstructured(), n=pts.shape[1], p=pts.shape[0], points=pts[:, None, :]
     )
-    return np.array(list(_cells_labelings(data, dedupe_directions(pts))), dtype=np.int8)
+    return np.array(list(cells_labelings(data)), dtype=np.int8)
 
 
 def dedupe_loop(points: np.ndarray):
