@@ -43,7 +43,6 @@ from .montecarlo import (
     random_classifier_probe,
     sample_dataset,
     sat_fraction_scan,
-    sat_fraction_scans,
 )
 from .numerics import (
     Rng,
@@ -116,7 +115,6 @@ __all__ = [
     "sample_multiplet",
     "sample_orthonormal_frame",
     "sat_fraction_scan",
-    "sat_fraction_scans",
     "theta_coefficients",
     "transition_load",
 ]

@@ -378,12 +378,16 @@ def cmd_count(cfg: dict) -> int:
     n_list = cfg["n_list"]
     grid = cfg["alpha_grid"]
     rng = Rng(cfg["seed"])
+    n_max = max(n_list)
+    for alpha in grid:
+        if not math.isfinite(alpha * n_max):
+            raise ValidationError(f"alpha={alpha} gives no finite load alpha * n at n={n_max}")
     rows = []
     analytic = spec.k <= 2
     if analytic:
         theta = theta_coefficients(spec)
-        p_max = max(2, int(math.ceil(max(grid) * max(n_list))) + 1)
-        table = build_count_table(theta, n_max=max(n_list), p_max=p_max)
+        p_max = max(2, int(math.ceil(max(grid) * n_max)) + 1)
+        table = build_count_table(theta, n_max=n_max, p_max=p_max)
         for n in n_list:
             for alpha in grid:
                 if alpha * n < 1:

@@ -11,16 +11,16 @@ q < p*.
   sigma_1 = +1, one multiplet at a time; the cost is their number, not 2^p.
   `_threshold` reads p* off one walk, the only exact SAT decision: it stops
   at the first leaf (p* = p + 1), else its deepest node has depth p* - 2.
-  Draining the leaves, each with -sigma, counts, and is the only count
-  below full rank.  Each node carries a unit witness w; a child whose new
-  points all clear margin + TAU along w needs no solve.  At a positive
-  margin a pair table, built once per walk, refuses a child two of whose
-  signed points span a segment nearer the origin than margin + TAU by
-  1e-12 (that segment's margin bounds the whole set's).  Any other child
-  costs one min-norm-point solve, warm-started from the final corral of
-  the last solve on its path, whose rows begin its own, and from that
-  corral's Cholesky factor; the solve reads the signed entries of the Gram
-  matrix of the kp points, whose rows the walk computes when they are
+  A drained walk counts two labelings per leaf, sigma and -sigma; it is
+  the only count below full rank.  Each node carries a unit witness w; a
+  child whose new points all clear margin + TAU along w needs no solve.
+  At a positive margin a pair table, built once per walk, refuses a child
+  two of whose signed points span a segment nearer the origin than margin
+  + TAU by 1e-12 (that segment's margin bounds the whole set's).  Any
+  other child costs one min-norm-point solve, warm-started from the final
+  corral of the last solve on its path, whose rows begin its own, and from
+  that corral's Cholesky factor; the solve reads the signed entries of the
+  Gram matrix of the kp points, whose rows the walk computes when they are
   first read.  Refused past `MAX_SOLVES` solves.
 * ``full-rank``: kp independent points realize every labeling; the count
   is 2^p with no search (margin 0 only).
@@ -144,14 +144,14 @@ def sample_dataset(spec: StructureSpec, n: int, p: int, rng: Rng | np.random.Gen
     return Dataset(spec=spec, n=n, p=p, points=sample_multiplets(spec, n, p, rng))
 
 
-def _pair_conflicts(points: np.ndarray, bar: float) -> tuple[np.ndarray, np.ndarray]:
-    """Two (m, m) tables over the first m = min(p, _PAIR_ROWS // k)
-    multiplets: ``same[i, j]`` when multiplets i and j cannot carry equal
-    signs, ``flip[i, j]`` when they cannot carry opposite ones.  Each holds
-    when two of their signed points (or one point, i = j) span a segment
-    within bar - 1e-12 of the origin: that pair's margin bounds the margin
-    of any set holding it, so the labeling is UNSAT.  The slack leaves
-    at-the-bar segments to the margin solve."""
+def _pair_conflicts(points: np.ndarray, bar: float) -> tuple[list[int], list[int]]:
+    """Two tables over the first m = min(p, _PAIR_ROWS // k) multiplets, one
+    bit set per row: bit j of ``same[i]`` is set when multiplets i and j
+    cannot carry equal signs, of ``flip[i]`` when they cannot carry
+    opposite ones.  Each holds when two of their signed points (or one
+    point, i = j) span a segment within bar - 1e-12 of the origin: that
+    pair's margin bounds the margin of any set holding it, so the labeling
+    is UNSAT.  The slack leaves at-the-bar segments to the margin solve."""
     p, k, n = points.shape
     m = min(p, _PAIR_ROWS // k)
     x = points[:m].reshape(m * k, n)
@@ -166,7 +166,9 @@ def _pair_conflicts(points: np.ndarray, bar: float) -> tuple[np.ndarray, np.ndar
         # perpendicular, |u|^2 |v|^2 sin^2 / |u - v|^2
         span = sq[:, None] + sq[None, :] - 2 * uv
         dist2 = np.divide(sq[:, None] * sq[None, :] - uv * uv, span, out=lo.copy(), where=uv < lo)
-        return (dist2 < reach).reshape(m, k, m, k).any(axis=(1, 3))
+        table = (dist2 < reach).reshape(m, k, m, k).any(axis=(1, 3))
+        packed = np.packbits(table, axis=1, bitorder="little")
+        return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
     return close(g), close(-g)
 
@@ -184,23 +186,16 @@ class _GramRows(dict):
         return row
 
 
-def _bit_rows(table: np.ndarray) -> list[int]:
-    """Each row of a boolean (m, m) table as one int, bit i set where the
-    row holds column i."""
-    packed = np.packbits(table, axis=1, bitorder="little")
-    raw, width = packed.tobytes(), packed.shape[1]
-    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
-
-
-def _extension_nodes(dataset: Dataset, margin: float) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (depth j, labels) once for each prefix labeling ``labels[: j + 1]``
-    realizable above the margin, depth first (see the module docstring);
-    ``labels`` is one reused buffer.  `BudgetError` past `MAX_SOLVES` solves."""
+def _extension_nodes(dataset: Dataset, margin: float) -> Iterator[tuple[int, int]]:
+    """Yield (depth j, plus) once for each prefix labeling of multiplets
+    0..j realizable above the margin, depth first (see the module
+    docstring); bit i of the int ``plus`` is set when multiplet i carries
+    +1.  `BudgetError` past `MAX_SOLVES` solves."""
     p, k = dataset.p, dataset.spec.k
     points = dataset.points
     bar = margin + TAU
     # at margin 0 an entry needs exact antipodes, which the first solve refuses
-    same, flip = map(_bit_rows, _pair_conflicts(points, bar)) if margin > 0 else ((), ())
+    same, flip = _pair_conflicts(points, bar) if margin > 0 else ((), ())
     flat = dataset.flat
     gram = _GramRows(flat)
     # the solve's tolerance scale of each prefix of the rows
@@ -208,7 +203,6 @@ def _extension_nodes(dataset: Dataset, margin: float) -> Iterator[tuple[int, np.
     scales = np.maximum(np.maximum.accumulate(norms), 1.0).tolist()
     signed = np.empty((p * k, dataset.n))  # row block j: multiplet j times its sign
     signs = [1] * (p * k)  # the sign of each row of signed
-    labels = np.empty(p, dtype=np.int8)
     solves = 0
     # (depth, sign, the parent's witness if that child is free, the final
     # corral of the last solve on its path, the bit set of the multiplets
@@ -217,7 +211,6 @@ def _extension_nodes(dataset: Dataset, margin: float) -> Iterator[tuple[int, np.
     while stack:
         j, s, w, start, plus = stack.pop()
         end = (j + 1) * k
-        labels[j] = s
         if s > 0:
             plus |= 1 << j
         certified = w is not None
@@ -247,7 +240,7 @@ def _extension_nodes(dataset: Dataset, margin: float) -> Iterator[tuple[int, np.
             # only a witness that clears the bar on every row frees children,
             # so the Wolfe tolerance never enters a certificate
             certified = bool((signed[:end] @ w).min() > bar)
-        yield j, labels
+        yield j, plus
         if end == p * k:
             continue
         # at most one child is free (bar > 0); it goes first, else sign +1
@@ -260,15 +253,6 @@ def _extension_nodes(dataset: Dataset, margin: float) -> Iterator[tuple[int, np.
                 free = min(field) > bar
         stack.append((j + 1, -first, None, start, plus))
         stack.append((j + 1, first, w if free else None, start, plus))
-
-
-def _extension_labelings(dataset: Dataset, margin: float) -> Iterator[np.ndarray]:
-    """Yield each admissible labeling realizable above the margin once: the
-    leaves of the extension walk, each with its negation."""
-    for j, labels in _extension_nodes(dataset, margin):
-        if j == dataset.p - 1:
-            yield labels.copy()
-            yield -labels
 
 
 def _threshold(dataset: Dataset, margin: float) -> int:
@@ -287,8 +271,8 @@ def count_admissible_dichotomies(dataset: Dataset, margin: float = 0.0) -> SatPr
     """Exact number of admissible labelings realizable above the margin.
 
     At margin 0 the full-rank shortcut when the kp points are linearly
-    independent; else the drained extension engine.  `BudgetError` past
-    `MAX_SOLVES` solves.
+    independent; else the drained extension walk, two labelings per leaf
+    (sigma and -sigma).  `BudgetError` past `MAX_SOLVES` solves.
     """
     if margin < 0:
         raise ValidationError("margin must be >= 0")
@@ -297,7 +281,7 @@ def count_admissible_dichotomies(dataset: Dataset, margin: float = 0.0) -> SatPr
         rank = numerical_rank(np.linalg.svd(flat, compute_uv=False), flat.shape)
         if rank == flat.shape[0]:
             return SatProbe(count=2**dataset.p, sat=True, enumerated=True, method=METHOD_FULL_RANK)
-    count = sum(1 for _ in _extension_labelings(dataset, margin))
+    count = 2 * sum(j == dataset.p - 1 for j, _ in _extension_nodes(dataset, margin))
     return SatProbe(count=count, sat=count > 0, enumerated=True, method=METHOD_EXTENSION)
 
 
@@ -345,11 +329,9 @@ def random_classifier_probe(
         pos = np.all(dots > margin, axis=2)
         neg = np.all(dots < -margin, axis=2)
         ok = np.all(pos | neg, axis=1)
-        if not ok.any():
-            continue
-        labels = np.where(pos[ok], 1, -1).astype(np.int8)
-        for row in labels:
-            seen.add(row.tobytes())
+        # a labeling is its +1 multiplets: one bytes key per packed row
+        packed = np.packbits(pos[ok], axis=1)
+        seen.update(packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist())
     return SatProbe(count=len(seen), sat=len(seen) > 0, enumerated=False, method=METHOD_RANDOM)
 
 
@@ -498,10 +480,10 @@ def scan_jobs(
     probe: str = _ENUMERATE,
     num_weights: int = 10000,
 ) -> tuple[list, Callable[[Iterator], list[list[PhasePoint]]]]:
-    """The trial jobs of `sat_fraction_scans`, scan-major, for `_map_ordered`,
-    and the function that reduces their results, read in job order, to one
-    list of points per scan.  Every argument is checked here, before any
-    job runs."""
+    """The trial jobs of several `sat_fraction_scan` scans, one per (spec,
+    rng), over one load grid: scan-major, for `_map_ordered`, and the
+    function that reduces their results, read in job order, to one list of
+    points per scan.  Every argument is checked here, before any job runs."""
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     if probe not in PROBES:
@@ -514,8 +496,8 @@ def scan_jobs(
         if n < spec.k:
             raise DimensionError(f"need n >= k, got n={n}, k={spec.k}")
     for alpha in alpha_grid:
-        if not math.isfinite(alpha):
-            raise ValidationError(f"alpha={alpha} is not finite")
+        if not math.isfinite(alpha * n):
+            raise ValidationError(f"alpha={alpha} gives no finite load alpha * n at n={n}")
     loads = [int(round(alpha * n)) for alpha in alpha_grid]
     for alpha, p in zip(alpha_grid, loads):
         if p < 1:
@@ -547,35 +529,6 @@ def scan_jobs(
     return jobs, reduce
 
 
-def sat_fraction_scans(
-    scans: list[tuple[StructureSpec, Rng]],
-    n: int,
-    alpha_grid: list[float],
-    trials: int,
-    margin: float = 0.0,
-    probe: str = _ENUMERATE,
-    num_weights: int = 10000,
-    threads: int = 1,
-) -> list[list[PhasePoint]]:
-    """Fraction of disorder realizations admitting a realizable labeling,
-    for each (spec, rng) scan over the same load grid.
-
-    One point per load value, p = round(alpha * n); margin scans use k=1
-    specs with the margin as the constraint.  ``probe`` is the exact
-    decision (``"enumerate"``), the exact count (``"count"``, which also
-    decides SAT and fills each point's mean count) or the random-classifier
-    witness search (``"random-classifier"``).  Trial t of a scan is one
-    multiplet sequence: it draws the largest load's multiplets once from
-    ``rng.substream(t)`` (a random-classifier probe takes its directions
-    from ``rng.substream(t, 1)``), and load p reads its first p, so every
-    point of a scan sees the same disorder.  The trials of every scan,
-    scan-major, share one process pool (`scan_jobs` lets a caller put
-    other jobs ahead of them in that pool).
-    """
-    jobs, reduce = scan_jobs(scans, n, alpha_grid, trials, margin, probe, num_weights)
-    return reduce(_map_ordered(jobs, threads))
-
-
 def sat_fraction_scan(
     spec: StructureSpec,
     n: int,
@@ -587,9 +540,22 @@ def sat_fraction_scan(
     num_weights: int = 10000,
     threads: int = 1,
 ) -> list[PhasePoint]:
-    """One scan of `sat_fraction_scans`: its trials share one process pool."""
-    return sat_fraction_scans([(spec, rng)], n, alpha_grid, trials, margin, probe,
-                              num_weights, threads)[0]
+    """Fraction of disorder realizations admitting a realizable labeling
+    at each load of the grid.
+
+    One point per load value, p = round(alpha * n); margin scans use k=1
+    specs with the margin as the constraint.  ``probe`` is the exact
+    decision (``"enumerate"``), the exact count (``"count"``, which also
+    decides SAT and fills each point's mean count) or the random-classifier
+    witness search (``"random-classifier"``).  Trial t is one multiplet
+    sequence: it draws the largest load's multiplets once from
+    ``rng.substream(t)`` (a random-classifier probe takes its directions
+    from ``rng.substream(t, 1)``), and load p reads its first p, so every
+    point sees the same disorder.  The trials share one process pool;
+    `scan_jobs` puts several scans, and other jobs ahead of them, in one.
+    """
+    jobs, reduce = scan_jobs([(spec, rng)], n, alpha_grid, trials, margin, probe, num_weights)
+    return reduce(_map_ordered(jobs, threads))[0]
 
 
 def crossover_load(points: list[PhasePoint]) -> tuple[float, float]:

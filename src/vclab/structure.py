@@ -321,8 +321,11 @@ def psi_vector(
 
     psi_2 averages the pairwise closed form over the k(k-1)/2 overlaps
     (the subset symmetrization); entries for m >= 3 come from
-    `psi_m_estimate` with the supplied sampling budget.
+    `psi_m_estimate` with the supplied sampling budget.  `DimensionError`
+    when n < k: no multiplet fits in R^n.
     """
+    if n < spec.k:
+        raise DimensionError(f"need n >= k, got n={n}, k={spec.k}")
     if spec.k < 2:
         return PsiVector(values=(), errors=())
     pair_vals = [psi2(spec.gram[a, b]) for a, b in combinations(range(spec.k), 2)]

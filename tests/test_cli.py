@@ -433,6 +433,25 @@ class TestPhaseDiagram:
         assert not list(tmp_path.iterdir())
 
 
+class TestOverflowingLoads:
+    @pytest.mark.parametrize("argv", [
+        ["count", "--k", "1", "--n", "3"],
+        ["count", "--k", "1", "--n", "3", "--trials", "2"],
+        ["mc", "--rho", "0.5", "--trials", "1"],
+        ["phase-diagram", "--rho", "0.5", "--layers", "mc"],
+        ["phase-diagram", "--rho", "0.5", "--trials", "1"],
+    ])
+    def test_finite_alpha_whose_load_overflows_is_refused_before_any_file(
+        self, capsys, tmp_path, argv
+    ):
+        # alpha * n overflows to inf though alpha is finite
+        code, out, _ = run(capsys, *argv, "--alpha", "1e308", "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert json.loads(out) == {"error": "ValidationError",
+                                   "message": "alpha=1e+308 gives no finite load alpha * n at n=3"}
+        assert not list(tmp_path.iterdir())
+
+
 # Each command that writes files, the option that names one, and a short run.
 OUTPUTS = [
     ("count", "out", ["--k", "1", "--n", "3", "--alpha", "1"]),
@@ -586,6 +605,16 @@ class TestPsi:
         assert code == 1
         assert json.loads(out) == {"error": "ValidationError",
                                    "message": "psi needs multiplets of k >= 2 points, got k=1"}
+
+    @pytest.mark.parametrize("extra", [[], ["--m", "2"]])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_dimension_below_the_multiplet_size_is_refused_for_every_k(self, capsys, k, extra):
+        # no k-point multiplet at overlap 0.5 fits in R^(k-1): refused before any output
+        code, out, _ = run(capsys, "psi", "--k", str(k), "--rho", "0.5", "--n", str(k - 1),
+                           "--samples", "10", *extra)
+        assert code == 1
+        assert json.loads(out) == {"error": "DimensionError",
+                                   "message": f"need n >= k, got n={k - 1}, k={k}"}
 
     @pytest.mark.parametrize("k", ["2", "3"])
     @pytest.mark.parametrize("flag", ["--n", "--samples"])

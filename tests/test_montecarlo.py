@@ -20,7 +20,8 @@ from vclab.montecarlo import (
     Dataset,
     PhasePoint,
     SatProbe,
-    _extension_labelings,
+    _extension_nodes,
+    _map_ordered,
     _pair_conflicts,
     _threshold,
     admissible_exists,
@@ -30,7 +31,7 @@ from vclab.montecarlo import (
     random_classifier_probe,
     sample_dataset,
     sat_fraction_scan,
-    sat_fraction_scans,
+    scan_jobs,
 )
 from vclab.numerics import Rng
 from vclab.recursion import build_count_table, cover_count_exact
@@ -111,6 +112,17 @@ def sigma_labelings(dataset: Dataset, margin: float):
         labels = np.array((1,) + bits, dtype=np.int8)
         signed = np.repeat(labels, dataset.spec.k)[:, None] * dataset.flat
         if np.linalg.norm(cold_min_norm_point(signed)) > margin + TAU:
+            yield labels
+            yield -labels
+
+
+def _extension_labelings(dataset: Dataset, margin: float):
+    """The leaves of the extension walk, each bit set decoded to its
+    labeling and yielded with its negation."""
+    for j, plus in _extension_nodes(dataset, margin):
+        if j == dataset.p - 1:
+            labels = np.array([1 if plus >> i & 1 else -1 for i in range(dataset.p)],
+                              dtype=np.int8)
             yield labels
             yield -labels
 
@@ -661,10 +673,10 @@ class TestExistence:
             )
 
 
-def no_pair_conflicts(points: np.ndarray, bar: float) -> tuple[np.ndarray, np.ndarray]:
-    """Pair tables that refuse nothing."""
+def no_pair_conflicts(points: np.ndarray, bar: float) -> tuple[list[int], list[int]]:
+    """Pair tables that refuse nothing: as many rows, each an empty bit set."""
     same, flip = _pair_conflicts(points, bar)
-    return np.zeros_like(same), np.zeros_like(flip)
+    return [0] * len(same), [0] * len(flip)
 
 
 def points_dataset(points: np.ndarray) -> Dataset:
@@ -916,6 +928,27 @@ class TestRandomClassifierProbe:
         tight = random_classifier_probe(ds, 4000, Rng(36), margin=0.5)
         assert tight.count <= loose.count
 
+    def test_counts_the_distinct_labelings_of_its_directions(self, monkeypatch):
+        # the row-by-row reference: the same directions, batch by batch, each
+        # consistent one's sign vector kept as a tuple
+        monkeypatch.setattr("vclab.montecarlo._WEIGHT_BATCH", 64)
+        for t, (spec, n, p, margin) in enumerate([(UNSTRUCTURED, 3, 12, 0.0),
+                                                   (UNSTRUCTURED, 4, 9, 0.1),
+                                                   (PAIRS_HALF, 3, 5, 0.0),
+                                                   (PAIRS_HALF, 5, 10, 0.02)]):
+            ds = sample_dataset(spec, n, p, Rng(37, t))
+            gen = Rng(38, t).generator()
+            seen = set()
+            for b in (64, 64, 64, 8):
+                w = gen.standard_normal((b, n))
+                w /= np.linalg.norm(w, axis=1, keepdims=True)
+                for dots in (w @ ds.flat.T).reshape(b, p, spec.k):
+                    pos, neg = (dots > margin).all(axis=1), (dots < -margin).all(axis=1)
+                    if (pos | neg).all():
+                        seen.add(tuple(pos))
+            probe = random_classifier_probe(ds, 200, Rng(38, t), margin=margin)
+            assert probe.count == len(seen) > 1, t
+
     def test_negative_margin_is_refused(self):
         ds = sample_dataset(UNSTRUCTURED, 3, 3, Rng(35))
         with pytest.raises(ValidationError, match="margin must be >= 0"):
@@ -1108,9 +1141,10 @@ class TestSatFractionScan:
     def test_scans_match_one_call_per_scan(self, specs, kwargs):
         rng = Rng(62)
         grid = [1, 2, 3, 5]
-        scanned = sat_fraction_scans(
+        jobs, reduce = scan_jobs(
             [(spec, rng.substream(i)) for i, spec in enumerate(specs)], 3, grid, 5, **kwargs
         )
+        scanned = reduce(_map_ordered(jobs, 1))
         assert scanned == [
             sat_fraction_scan(spec, 3, grid, 5, rng.substream(i), **kwargs)
             for i, spec in enumerate(specs)
