@@ -63,6 +63,7 @@ from .montecarlo import (
     _map_ordered,
     count_jobs,
     crossover_load,
+    load_at,
     sat_fraction_scan,
     scan_jobs,
 )
@@ -380,8 +381,7 @@ def cmd_count(cfg: dict) -> int:
     rng = Rng(cfg["seed"])
     n_max = max(n_list)
     for alpha in grid:
-        if not math.isfinite(alpha * n_max):
-            raise ValidationError(f"alpha={alpha} gives no finite load alpha * n at n={n_max}")
+        load_at(alpha, n_max)  # before the table or a sample is allocated
     rows = []
     analytic = spec.k <= 2
     if analytic:

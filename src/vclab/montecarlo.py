@@ -19,9 +19,15 @@ q < p*.
   + TAU by 1e-12 (that segment's margin bounds the whole set's).  Any
   other child costs one min-norm-point solve, warm-started from the final
   corral of the last solve on its path, whose rows begin its own, and from
-  that corral's Cholesky factor; the solve reads the signed entries of the
-  Gram matrix of the kp points, whose rows the walk computes when they are
-  first read.  Refused past `MAX_SOLVES` solves.
+  that corral's Cholesky factor and point; the solve reads the signed
+  entries of the Gram matrix of the kp points, whose rows the walk
+  computes when they are first read.  The solve stops once its answer is
+  settled (see `min_norm_corral`): UNSAT as soon as |d| is a tie window
+  (1e-10) below the bar, and at a leaf, whose witness no child reads, SAT
+  at its first iterate that clears the bar.  The walk checks a node's
+  witness on its rows only when the solve's last dots do not already
+  clear the bar by more than their rounding.  Refused past `MAX_SOLVES`
+  solves.
 * ``full-rank``: kp independent points realize every labeling; the count
   is 2^p with no search (margin 0 only).
 * `random_classifier_probe`: sample random directions and read off the
@@ -72,9 +78,15 @@ METHOD_RANDOM = "random-classifier"
 
 # Most min-norm-point solves of one extension probe: more than the prefix
 # tree of p = 22 multiplets has nodes.  The time per solve grows with n:
-# 58 us at n = 3 and 140 us at n = 8 (threshold walks of pairs at rho = 0.5,
-# 2-core Xeon), so the budget takes about 4-10 min.
+# 37 us at n = 3 and 79 us at n = 8 (walk time over solves, threshold walks
+# of pairs at rho = 0.5 and p = 81, 2-core Xeon), so the budget takes about
+# 3-6 min.
 MAX_SOLVES = 2**22
+# Largest load p = alpha * n a command samples or tabulates, checked before
+# either allocates: a trial holds p multiplets of k points in R^n and a count
+# table (n + 1) x (p + 1) floats.  Walks end near p*, a few hundred at most
+# at the dimensions they decide (p = 81 is deep UNSAT for pairs at n = 3).
+MAX_LOAD = 10**5
 
 _ENUMERATE = "enumerate"  # trial probe tag: the exact SAT decision
 _COUNT = "count"  # trial probe tag: full exact count instead of a SAT decision
@@ -142,6 +154,19 @@ def sample_dataset(spec: StructureSpec, n: int, p: int, rng: Rng | np.random.Gen
     if p < 1:
         raise ValidationError(f"need p >= 1, got {p}")
     return Dataset(spec=spec, n=n, p=p, points=sample_multiplets(spec, n, p, rng))
+
+
+def load_at(alpha: float, n: int) -> int:
+    """The load p = round(alpha * n); `ValidationError` when alpha * n is
+    not finite or exceeds `MAX_LOAD`."""
+    load = alpha * n
+    if not math.isfinite(load):
+        raise ValidationError(f"alpha={alpha} gives no finite load alpha * n at n={n}")
+    if load > MAX_LOAD:
+        raise ValidationError(
+            f"alpha={alpha} gives the load alpha * n = {load:g} at n={n}, above {MAX_LOAD}"
+        )
+    return int(round(load))
 
 
 def _pair_conflicts(points: np.ndarray, bar: float) -> tuple[list[int], list[int]]:
@@ -214,6 +239,7 @@ def _extension_nodes(dataset: Dataset, margin: float) -> Iterator[tuple[int, int
         if s > 0:
             plus |= 1 << j
         certified = w is not None
+        leaf = end == p * k
         # a pair of multiplets the prefix labels in conflict: UNSAT, no solve.
         # alike: the multiplets 0..j that carry s, j among them; the others
         # carry -s.  Both sets stop at j, so row j is read only up to j.
@@ -232,16 +258,20 @@ def _extension_nodes(dataset: Dataset, margin: float) -> Iterator[tuple[int, int
                 )
             solves += 1
             # warm start: the rows of the last solve on this path begin these
-            d, start = min_norm_corral(signed[:end], start, gram, signs, scales[end - 1], bar)
+            d, start, clear = min_norm_corral(signed[:end], start, gram, signs,
+                                              scales[end - 1], bar, leaf)
             norm = math.sqrt(d @ d)
             if norm <= bar:
                 continue
-            w = d / norm
-            # only a witness that clears the bar on every row frees children,
-            # so the Wolfe tolerance never enters a certificate
-            certified = bool((signed[:end] @ w).min() > bar)
+            if not leaf:
+                w = d / norm
+                # only a witness that clears the bar on every row frees
+                # children, so the Wolfe tolerance never enters a certificate;
+                # the solve's own dots vouch for it when they clear the bar
+                # by more than their rounding
+                certified = clear or bool((signed[:end] @ w).min() > bar)
         yield j, plus
-        if end == p * k:
+        if leaf:
             continue
         # at most one child is free (bar > 0); it goes first, else sign +1
         first, free = 1, False
@@ -431,8 +461,10 @@ def count_jobs(
     for n, loads, _ in dims:
         if n < spec.k:
             raise DimensionError(f"need n >= k, got n={n}, k={spec.k}")
-        if not loads or min(loads) < 1:
-            raise ValidationError(f"need a non-empty list of loads p >= 1, got {loads}")
+        if not loads or min(loads) < 1 or max(loads) > MAX_LOAD:
+            raise ValidationError(
+                f"need a non-empty list of loads 1 <= p <= {MAX_LOAD}, got {loads}"
+            )
     distinct = [list(dict.fromkeys(loads)) for _, loads, _ in dims]
     jobs = [(_trial_worker, spec, n, [p], 0.0, _COUNT, 0, rng.substream(t))
             for (n, _, rng), ps in zip(dims, distinct) for p in ps for t in range(trials)]
@@ -495,10 +527,7 @@ def scan_jobs(
     for spec, _ in scans:
         if n < spec.k:
             raise DimensionError(f"need n >= k, got n={n}, k={spec.k}")
-    for alpha in alpha_grid:
-        if not math.isfinite(alpha * n):
-            raise ValidationError(f"alpha={alpha} gives no finite load alpha * n at n={n}")
-    loads = [int(round(alpha * n)) for alpha in alpha_grid]
+    loads = [load_at(alpha, n) for alpha in alpha_grid]
     for alpha, p in zip(alpha_grid, loads):
         if p < 1:
             raise ValidationError(f"alpha={alpha} gives p={p} < 1 at n={n}")

@@ -19,7 +19,14 @@ Two exact tools:
   is a Givens downdate of the rows after it.  The bordered linear system,
   solved afresh, stays as the fallback for an affinely dependent row, as
   the tie-breaker of a |d| at the decision's bar, and as the whole solve of
-  `max_margin` and `min_norm_point`.
+  `max_margin` and `min_norm_point`.  A walk's solve is a decision, not an
+  optimization: it ends once its iterate settles the answer, at the first
+  |d| that is `_TIE` below the bar (UNSAT) and, at the last multiplet, at
+  the first d whose rows all clear the bar along d / |d| (SAT).  Its final
+  dots, when they clear the bar by more than their rounding, certify the
+  witness d / |d|, and its final d travels with the corral to the next
+  solve on the walk's path.  `max_margin` and `min_norm_point` set no bar
+  and solve to the optimum.
 
 * `sign_pattern_blocks` enumerates every sign vector realizable by some
   direction w, i.e. the cells of the central hyperplane arrangement whose
@@ -69,6 +76,10 @@ _TIE = 1e-10
 # an affinely dependent row: an exact dependence can leave a few 1e-16 by
 # rounding, and the smallest share on the benchmark's walks is 8e-9
 _PIVOT_TOL = 1e-12
+# slack per coordinate and per unit of row norm between x . d / |d| and
+# x . (d / |d|): their worst-case gap in R^n, about (1.5 n + 2) eps |x|, stays
+# below _DOT_ROUNDING (n + 3) |x|
+_DOT_ROUNDING = 1e-15
 _BLOCK_ROWS = 2**14  # most candidate rows in one `sign_pattern_blocks` block
 
 
@@ -93,14 +104,17 @@ def _affine_minimizer(points: np.ndarray) -> np.ndarray:
 
 class Corral(NamedTuple):
     """Where `min_norm_corral` ends, and where it can start again: the
-    corral's row indices, their positive weights (summing to 1), and the
-    lower Cholesky factor of M = G_CC + 11^T, one tuple per row (None after
-    a solve that ended on the bordered path).  Nothing here is edited in
-    place, so one warm start can serve several solves."""
+    corral's row indices, their positive weights (summing to 1), the lower
+    Cholesky factor of M = G_CC + 11^T, one tuple per row (None after a
+    solve that ended on the bordered path), and the point d = lam @ rows
+    the solve ended at (None when unknown; a warm start then computes it).
+    Nothing here is edited in place, so one warm start can serve several
+    solves."""
 
     rows: tuple[int, ...]
     lam: tuple[float, ...]
     factor: tuple[tuple[float, ...], ...] | None
+    point: tuple[float, ...] | None = None
 
 
 def min_norm_point(points: np.ndarray) -> np.ndarray:
@@ -116,18 +130,36 @@ def min_norm_corral(
     signs: Sequence[int] | None = None,
     scale: float | None = None,
     bar: float | None = None,
-) -> tuple[np.ndarray, Corral]:
+    leaf: bool = False,
+) -> tuple[np.ndarray, Corral, bool]:
     """Wolfe's minimum-norm-point algorithm on the rows of a float array,
-    returning d and the final `Corral`, with d = lam @ x_rows[rows].
+    returning d = lam @ x_rows[rows], the final `Corral` (whose ``point``
+    is d) and whether d / |d| is certified to clear ``bar`` on every row.
 
     Maintains a corral of affinely independent rows; alternates between
     adding the row most violating the support condition
     min_j x_j . d >= |d|^2 and pruning the corral to keep the affine
-    minimizer inside the simplex.  Terminates at the exact optimum up to
-    the support tolerance ``_MNP_TOL * scale``, with ``scale`` the largest
-    squared row norm and at least 1 (computed here when not given).  It
-    starts from ``start`` (a warm start, such as the final corral of a
-    prefix of the rows), or, when none is given, from the shortest row.
+    minimizer inside the simplex.  It terminates at the exact optimum, or
+    at a settled decision when ``bar`` is given (below), up to the support
+    tolerance ``_MNP_TOL * scale``, with ``scale`` the largest squared row
+    norm and at least 1 (computed here when not given).  It starts from
+    ``start`` (a warm start, such as the final corral of a prefix of the
+    rows, which carries its point d), or, when none is given, from the
+    shortest row.
+
+    Given ``bar`` (above `_TIE`, as a walk's margin + TAU is), the solve
+    is a decision: is the optimum |d*| above the bar?  At any iterate |d| bounds |d*| from above and min_j x_j . d / |d|
+    from below, so the solve stops once the answer is settled: at the
+    first |d| <= bar - `_TIE` (UNSAT; Wolfe's |d| never rises, so the full
+    solve would end as far below the bar, outside the tie window), and, on
+    a ``leaf`` solve, whose d no caller reads, at the first
+    min_j x_j . d > (bar + slack) |d| (SAT).  The slack covers the rounding
+    between x_j . d / |d| and x_j . (d / |d|) at the rows' scale (see
+    `_DOT_ROUNDING`).  The third value is true when the dots of the
+    returned d cleared (bar + slack) |d|, so that d / |d| clears the bar
+    on every row; it is false when they did not, when there is no bar, and
+    when d moved after its last dots (the tie re-solve, or a solve out of
+    iterations).  Every decision |d| > bar is the full solve's.
 
     Given ``gram`` and ``signs`` (row j of x_rows is ``signs[j]`` times a
     point whose Gram row is ``gram[j]``, so G_ij = signs[i] signs[j]
@@ -152,9 +184,9 @@ def min_norm_corral(
         if scale is None:
             scale = max(float(norms.max()), 1.0)
     if start is None:
-        corral, lam, factor = [int(norms.argmin())], [1.0], None
+        corral, lam, factor, point = [int(norms.argmin())], [1.0], None, None
     else:
-        corral, lam, factor = list(start.rows), list(start.lam), start.factor
+        corral, lam, factor, point = list(start.rows), list(start.lam), start.factor, start.point
     if gram is None:
         factor = None
     elif factor is None:
@@ -163,12 +195,24 @@ def min_norm_corral(
             factor = _append_row(factor, corral, c, gram, signs)
             if factor is None:
                 break
-    d = np.dot(lam, x_rows[corral])
+    # the carried point has the bits np.dot gives on the same rows
+    d = np.dot(lam, x_rows[corral]) if point is None else np.array(point)
+    clear = False
+    if bar is not None:
+        unsat = (bar - _TIE) ** 2
+        sat = bar + _DOT_ROUNDING * (x_rows.shape[1] + 3) * math.sqrt(scale)
     for _ in range(16 * m + 64):
+        dd = float(d @ d)
+        if bar is not None and dd <= unsat:
+            return d, Corral(tuple(corral), tuple(lam), factor, tuple(d.tolist())), False
         dots = x_rows @ d
         j = int(dots.argmin())
+        if bar is not None:
+            clear = bool(dots[j] > sat * math.sqrt(dd))
+            if clear and leaf:
+                break
         # j in corral: an arithmetic stall, d is optimal to working precision
-        if dots[j] > d @ d - _MNP_TOL * scale or j in corral:
+        if dots[j] > dd - _MNP_TOL * scale or j in corral:
             break
         if factor is not None:
             factor = _append_row(factor, corral, j, gram, signs)
@@ -199,11 +243,15 @@ def min_norm_corral(
             lam = [a for a, kp in zip(lam, keep) if kp]
             total = sum(lam)
             lam = [a / total for a in lam]
-        d = np.dot(lam, x_rows[corral])
+        # the rows of x_rows[corral], gathered faster than by a list index
+        d = np.dot(lam, x_rows.take(corral, 0))
+    else:
+        clear = False  # out of iterations: the last dots were taken at an earlier d
     if bar is not None and abs(math.sqrt(d @ d) - bar) <= _TIE:
         lam = _affine_minimizer(x_rows[corral]).tolist()
         d = np.dot(lam, x_rows[corral])
-    return d, Corral(tuple(corral), tuple(lam), factor)
+        clear = False
+    return d, Corral(tuple(corral), tuple(lam), factor, tuple(d.tolist())), clear
 
 
 def _append_row(factor: tuple, corral: list[int], j: int, gram, signs) -> tuple | None:

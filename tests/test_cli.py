@@ -5,6 +5,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -451,6 +453,35 @@ class TestOverflowingLoads:
                                    "message": "alpha=1e+308 gives no finite load alpha * n at n=3"}
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv, message", [
+        (["count", "--k", "2", "--rho", "0.5", "--n", "3", "--alpha", "1e15"],
+         "alpha=1000000000000000.0 gives the load alpha * n = 3e+15 at n=3, above 100000"),
+        (["mc", "--rho", "0.5", "--alpha", "1e300", "--trials", "1"],
+         "alpha=1e+300 gives the load alpha * n = 3e+300 at n=3, above 100000"),
+        (["phase-diagram", "--rho", "0.5", "--alpha", "1e300", "--trials", "1"],
+         "alpha=1e+300 gives the load alpha * n = 3e+300 at n=3, above 100000"),
+    ], ids=["count", "mc", "phase-diagram"])
+    def test_load_above_the_largest_is_refused_before_any_file_or_pool(
+        self, capsys, tmp_path, monkeypatch, argv, message
+    ):
+        # a finite load past MAX_LOAD would ask numpy for more than it can
+        # allocate, in the count table or the sample
+        def no_pool(max_workers):
+            raise AssertionError("a pool was opened")
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+        assert montecarlo.MAX_LOAD == 100000
+        code, out, _ = run(capsys, *argv, "--threads", "2", "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert json.loads(out) == {"error": "ValidationError", "message": message}
+        assert not list(tmp_path.iterdir())
+
+    def test_the_largest_load_is_accepted(self, capsys, tmp_path):
+        code, _, _ = run(capsys, "count", "--k", "1", "--n", "2", "--alpha", "50000",
+                         "--out", str(tmp_path / "x.csv"))
+        assert code == 0
+        assert data_lines(tmp_path / "x.csv")[-1].split(",")[:3] == ["recursion", "2", "100000"]
+
 
 # Each command that writes files, the option that names one, and a short run.
 OUTPUTS = [
@@ -879,6 +910,22 @@ class TestParser:
             main(["--version"])
         assert run(capsys, "--rho", "0")[0] == 1
         assert built == [["transition"], list(COMMANDS), list(COMMANDS)]
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_command_line(self):
+        # the console script needs an install; `python -m vclab` runs from src/
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        version = subprocess.run([sys.executable, "-m", "vclab", "--version"], env=env,
+                                 capture_output=True, text=True, timeout=60)
+        assert version.returncode == 0
+        assert version.stdout.strip() == f"vclab {__version__}"
+        # a parse error is a validation error, exit 1, as in main()
+        unknown = subprocess.run([sys.executable, "-m", "vclab", "bogus"], env=env,
+                                 capture_output=True, text=True, timeout=60)
+        assert unknown.returncode == 1
+        assert json.loads(unknown.stdout)["error"] == "ValidationError"
 
 
 class TestThreadsDefault:

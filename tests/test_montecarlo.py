@@ -38,6 +38,7 @@ from vclab.recursion import build_count_table, cover_count_exact
 from vclab import separability
 from vclab.separability import (
     _MNP_TOL,
+    _TIE,
     TAU,
     Corral,
     _affine_minimizer,
@@ -522,7 +523,7 @@ def factored_solve(points: np.ndarray, signs: np.ndarray, start: Corral | None =
     """`min_norm_corral` on the factored path over the signed rows, reading
     the Gram rows of the unsigned points, as the extension walk does."""
     return min_norm_corral(signs[:, None] * points, start, (points @ points.T).tolist(),
-                           signs.astype(int).tolist())
+                           signs.astype(int).tolist())[:2]
 
 
 def factored_row_sets() -> list[tuple[np.ndarray, np.ndarray]]:
@@ -620,6 +621,50 @@ class TestFactoredStep:
         d, corral = factored_solve(points, signs, corral)
         assert calls == [] and corral.factor is not None
         check_corral(points, d, corral)
+
+    def test_decision_exits_keep_the_full_solve_decision(self):
+        # bars at each set's optimum and at +-1e-11, +-1e-9 and +-1e-3 from
+        # it, above TAU as a walk's margin + TAU is; cold and warm-started
+        gen = Rng(78).generator()
+        unsat = clears = 0
+        for points, signs in factored_row_sets():
+            x_rows = signs[:, None] * points
+            gram, sg = (points @ points.T).tolist(), signs.astype(int).tolist()
+            q = int(gen.integers(1, len(points)))
+            prefix = min_norm_corral(x_rows[:q], None, gram, sg)[1]
+            optimum = float(np.linalg.norm(factored_solve(points, signs)[0]))
+            # a warm start from the carried point is the one from lam @ rows
+            d, corral = factored_solve(points, signs, prefix)
+            bare_d, bare_corral = factored_solve(points, signs, prefix._replace(point=None))
+            np.testing.assert_array_equal(d, bare_d)
+            assert corral == bare_corral
+            for start in (None, prefix):
+                full, corral = factored_solve(points, signs, start)
+                for offset in (0.0, -1e-11, 1e-11, -1e-9, 1e-9, -1e-3, 1e-3):
+                    bar = optimum + offset
+                    if bar < TAU:
+                        continue
+                    # the full solve's decision, with its tie re-solve
+                    d = full
+                    if abs(math.sqrt(d @ d) - bar) <= _TIE:
+                        rows = x_rows[list(corral.rows)]
+                        d = np.dot(_affine_minimizer(rows).tolist(), rows)
+                    decision = math.sqrt(d @ d) > bar
+                    for leaf in (False, True):
+                        d, exit_corral, clear = min_norm_corral(
+                            x_rows, start, gram, sg, None, bar, leaf)
+                        assert (math.sqrt(d @ d) > bar) == decision
+                        rows = list(exit_corral.rows)
+                        assert exit_corral.point == tuple(d.tolist())
+                        assert exit_corral.point == tuple(
+                            np.dot(exit_corral.lam, x_rows[rows]).tolist())
+                        if clear:
+                            assert (x_rows @ (d / math.sqrt(d @ d))).min() > bar
+                        # an UNSAT decision outside the tie window takes the
+                        # UNSAT exit, at the latest before its last dots pass
+                        unsat += not decision and abs(math.sqrt(full @ full) - bar) > _TIE
+                        clears += clear
+        assert unsat >= 500 and clears >= 200
 
     def test_one_warm_start_serves_both_children(self):
         # the two children of a node solve from the same corral, in any order

@@ -137,8 +137,8 @@ class TestMaxMargin:
         for _ in range(200):
             m, n = int(gen.integers(2, 12)), int(gen.integers(1, 6))
             pts = gen.standard_normal((m, n))
-            _, start = min_norm_corral(pts[: int(gen.integers(1, m))])
-            d, (corral, lam, _) = min_norm_corral(pts, start)
+            _, start, _ = min_norm_corral(pts[: int(gen.integers(1, m))])
+            d, (corral, lam, _, _), _ = min_norm_corral(pts, start)
             lam = np.array(lam)
             assert np.all(lam > 0) and lam.sum() == pytest.approx(1.0)
             np.testing.assert_array_equal(d, lam @ pts[list(corral)])
